@@ -37,9 +37,12 @@ let setup_logs_term =
   Term.(const setup $ log_level_arg)
 
 let read_graph path =
-  let text = Graph_io.read_file path in
+  let text =
+    Ppnpart_obs.Span.with_ "io.read" (fun () -> Graph_io.read_file path)
+  in
   (* Accept both supported formats: try METIS first, then the adjacency
      matrix. *)
+  Ppnpart_obs.Span.phase "io.parse" @@ fun () ->
   match Graph_io.of_metis text with
   | g -> g
   | exception _ -> Graph_io.of_adjacency_matrix text
@@ -87,24 +90,12 @@ let stream_jobs_arg =
     value & opt int 0
     & info [ "stream-jobs" ] ~docv:"N"
         ~doc:
-          "Team width for chunked parallel restreaming in $(b,--mode \
-           stream)/$(b,hybrid) (GP only). 0 means follow $(b,--jobs) \
-           capped at the recommended domain count; an explicit value is \
-           honored exactly. Chunk boundaries and commit order are fixed \
-           by node index, so the partition found is identical at every \
-           width.")
-
-let stream_ingest_arg =
-  Arg.(
-    value & flag
-    & info [ "stream-ingest" ]
-        ~doc:
-          "Fuse METIS parsing with the first streaming pass \
-           ($(b,--mode stream)/$(b,hybrid) with $(b,--input), GP only): \
-           each adjacency row is placed as soon as it is tokenized, so \
-           no parse-then-stream round trip over the input happens. \
-           Validation is unchanged (deferred whole-graph checks run at \
-           end of input).")
+          "Streamer for $(b,--mode stream)/$(b,hybrid) (GP only). 0 (the \
+           default) runs the sequential restreamer. $(docv) >= 1 runs \
+           the chunked parallel restreamer on $(docv) domains; its \
+           partition is identical at every $(docv) but differs from the \
+           sequential one, and on large skewed graphs it can violate \
+           $(b,--rmax) where the sequential answer does not.")
 
 let k_arg =
   Arg.(
@@ -248,7 +239,7 @@ let rec mkdirs dir =
     | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let with_output ~flag path f =
+let with_output ?(announce = true) ~flag path f =
   (try
      mkdirs (Filename.dirname path);
      f path
@@ -260,7 +251,7 @@ let with_output ~flag path f =
     Printf.eprintf "ppnpart: %s %s: %s%s\n" flag path (Unix.error_message e)
       (if arg = "" then "" else " (" ^ arg ^ ")");
     exit 2);
-  Printf.printf "wrote %s\n" path
+  if announce then Printf.printf "wrote %s\n" path
 
 let stats_arg =
   Arg.(
@@ -302,109 +293,94 @@ let resolve_input input paper seed =
 (* --- partition command --- *)
 
 let partition_cmd =
-  let run () input paper seed jobs refine_jobs stream_jobs stream_ingest k
-      bmax rmax algo mode stream_iterations dot save trace_out trace_jsonl
-      metrics_out report_json det_report stats check =
-    (* With --stream-ingest the file's text goes to the fused
-       parse+stream path unparsed; everything else resolves to a graph
-       up front as before. *)
-    let source =
-      match (input, paper, algo, mode) with
-      | ( Some path, None, `Gp,
-          (Ppnpart_core.Config.Stream | Ppnpart_core.Config.Hybrid) )
-        when stream_ingest ->
-        Ok (`Metis_text (Graph_io.read_file path))
-      | _ ->
-        Result.map (fun g -> `Graph g) (resolve_input input paper seed)
+  let run () input paper seed jobs refine_jobs stream_jobs k bmax rmax algo
+      mode stream_iterations dot save trace_out trace_jsonl metrics_out
+      report_json det_report stats check =
+    (* Deterministic reports need span durations measured on the
+       logical event clock, which lives in the trace buffers — so the
+       flag implies a capture even when no trace file was asked for.
+       Observability is installed before the input is read, so the
+       [io.read] and [io.parse] spans account for the reader. *)
+    let tracing =
+      trace_out <> None || trace_jsonl <> None || stats || det_report
     in
-    match source with
+    let metrics = metrics_out <> None || report_json <> None in
+    if tracing then
+      Ppnpart_obs.Obs.install
+        ~clock:
+          (if det_report then Ppnpart_obs.Obs.Logical
+           else Ppnpart_obs.Obs.Wall)
+        ();
+    if metrics then Ppnpart_obs.Metrics_registry.install ();
+    match resolve_input input paper seed with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
-    | Ok source ->
+    | Ok g ->
       let c = Types.constraints ~k ~bmax ~rmax in
-      (* Deterministic reports need span durations measured on the
-         logical event clock, which lives in the trace buffers — so the
-         flag implies a capture even when no trace file was asked for. *)
-      let tracing =
-        trace_out <> None || trace_jsonl <> None || stats || det_report
-      in
-      let metrics = metrics_out <> None || report_json <> None in
-      if tracing then
-        Ppnpart_obs.Obs.install
-          ~clock:
-            (if det_report then Ppnpart_obs.Obs.Logical
-             else Ppnpart_obs.Obs.Wall)
-          ();
-      if metrics then Ppnpart_obs.Metrics_registry.install ();
       (* The report is computed exactly once per run: GP already returns
          one, the other algorithms build theirs from their own timing. *)
       let gp_result = ref None in
-      let g, (name, part, report) =
+      let name, part, report =
         let t0 = Unix.gettimeofday () in
         let rng = Random.State.make [| seed |] in
         match algo with
         | `Gp ->
           let config =
             { Ppnpart_core.Config.default with seed; jobs; refine_jobs;
-              stream_jobs; stream_ingest; mode; stream_iterations;
+              stream_jobs; mode; stream_iterations;
               debug_checks = Ppnpart_core.Config.default.debug_checks || check
             }
           in
-          let g, r =
-            match source with
-            | `Graph g -> (g, Ppnpart_core.Gp.partition ~config g c)
-            | `Metis_text text ->
-              Ppnpart_core.Gp.partition_metis ~config text c
-          in
+          let r = Ppnpart_core.Gp.partition ~config g c in
           gp_result := Some r;
           let name =
             match mode with
             | Ppnpart_core.Config.Multilevel -> "GP"
             | m -> "GP/" ^ Ppnpart_core.Config.mode_name m
           in
-          (g, (name, r.Ppnpart_core.Gp.part, r.Ppnpart_core.Gp.report))
-        | (`Metis | `Spectral | `Fm | `Kl | `Exact) as algo ->
-          (* The ingest source is GP-gated above; unreachable here. *)
-          let g =
-            match source with
-            | `Graph g -> g
-            | `Metis_text text -> Graph_io.of_metis text
-          in
+          (name, r.Ppnpart_core.Gp.part, r.Ppnpart_core.Gp.report)
+        | (`Metis | `Spectral | `Fm | `Kl | `Exact) as algo -> (
           let timed_report p =
             Metrics.report ~runtime_s:(Unix.gettimeofday () -. t0) g c p
           in
-          let res =
-            match algo with
-            | `Metis ->
-              let s = Ppnpart_baselines.Metis_like.partition ~seed g ~k in
-              ( "METIS-like",
-                s.Ppnpart_baselines.Metis_like.part,
-                Metrics.report
-                  ~runtime_s:s.Ppnpart_baselines.Metis_like.runtime_s g c
-                  s.Ppnpart_baselines.Metis_like.part )
-            | `Spectral ->
-              let p = Ppnpart_baselines.Spectral.kway rng g ~k in
-              ("spectral", p, timed_report p)
-            | `Fm ->
-              let p = Ppnpart_baselines.Fm.kway rng g ~k in
-              ("FM", p, timed_report p)
-            | `Kl ->
-              let p =
-                Ppnpart_baselines.Recursive_bisection.kway
-                  (fun rng g -> Ppnpart_baselines.Kl.bisect rng g)
-                  rng g ~k
-              in
-              ("KL", p, timed_report p)
-            | `Exact -> (
-              match Ppnpart_baselines.Exact.partition g c with
-              | Some (p, _) -> ("exact", p, timed_report p)
-              | None ->
-                Printf.printf "exact: no feasible partition exists\n";
-                exit 3)
-          in
-          (g, res)
+          match algo with
+          | `Metis ->
+            let s = Ppnpart_baselines.Metis_like.partition ~seed g ~k in
+            ( "METIS-like",
+              s.Ppnpart_baselines.Metis_like.part,
+              Metrics.report
+                ~runtime_s:s.Ppnpart_baselines.Metis_like.runtime_s g c
+                s.Ppnpart_baselines.Metis_like.part )
+          | `Spectral ->
+            let p = Ppnpart_baselines.Spectral.kway rng g ~k in
+            ("spectral", p, timed_report p)
+          | `Fm ->
+            let p = Ppnpart_baselines.Fm.kway rng g ~k in
+            ("FM", p, timed_report p)
+          | `Kl ->
+            let p =
+              Ppnpart_baselines.Recursive_bisection.kway
+                (fun rng g -> Ppnpart_baselines.Kl.bisect rng g)
+                rng g ~k
+            in
+            ("KL", p, timed_report p)
+          | `Exact -> (
+            match Ppnpart_baselines.Exact.partition g c with
+            | Some (p, _) -> ("exact", p, timed_report p)
+            | None ->
+              Printf.printf "exact: no feasible partition exists\n";
+              exit 3))
       in
+      (* The labels are written while the capture is still open, so
+         [io.save] is accounted like the reader; its "wrote" line keeps
+         its place after the assignment. *)
+      Option.iter
+        (fun path ->
+          Ppnpart_obs.Span.with_ "io.save" (fun () ->
+              with_output ~announce:false ~flag:"--save" path (fun path ->
+                  Partition_io.save path ~k part)))
+        save;
       let capture = if tracing then Ppnpart_obs.Obs.finish () else None in
       let snapshot =
         if metrics then Ppnpart_obs.Metrics_registry.finish () else None
@@ -414,19 +390,23 @@ let partition_cmd =
            ~title:(Printf.sprintf "%s on %s" name (Wgraph.summary g))
            ~constraints:c
            [ (name, report) ]);
-      Printf.printf "assignment:";
-      Array.iter (fun p -> Printf.printf " %d" p) part;
-      print_newline ();
+      (* One buffer and one write: a call per label costs a measurable
+         fraction of a million-node run. *)
+      let line = Buffer.create ((2 * Array.length part) + 16) in
+      Buffer.add_string line "assignment:";
+      Array.iter
+        (fun p ->
+          Buffer.add_char line ' ';
+          Buffer.add_string line (string_of_int p))
+        part;
+      Buffer.add_char line '\n';
+      print_string (Buffer.contents line);
       Option.iter
         (fun path ->
           with_output ~flag:"--dot" path (fun path ->
               Graph_io.write_file path (Graph_io.to_dot ~partition:part g)))
         dot;
-      Option.iter
-        (fun path ->
-          with_output ~flag:"--save" path (fun path ->
-              Partition_io.save path ~k part))
-        save;
+      Option.iter (Printf.printf "wrote %s\n") save;
       Option.iter
         (fun cap ->
           Option.iter
@@ -475,7 +455,7 @@ let partition_cmd =
   let term =
     Term.(
       const run $ setup_logs_term $ input_arg $ paper_arg $ seed_arg
-      $ jobs_arg $ refine_jobs_arg $ stream_jobs_arg $ stream_ingest_arg
+      $ jobs_arg $ refine_jobs_arg $ stream_jobs_arg
       $ k_arg $ bmax_arg $ rmax_arg
       $ algo_arg $ mode_arg
       $ stream_iterations_arg $ dot_arg $ save_arg $ trace_out_arg

@@ -65,25 +65,22 @@ type t = {
           {!Ppnpart_partition.Stream.default_iterations} = 3); ignored
           by [Multilevel]. Must be ≥ 1. *)
   stream_jobs : int;
-      (** team width for chunked parallel restreaming
-          ({!Ppnpart_partition.Stream_parallel}) in [Stream]/[Hybrid]
-          modes. [0] (the default) follows [jobs], clamped to the
-          hardware parallelism budget; an explicit positive value is
-          honored exactly. As with [refine_jobs], width never affects
-          results — chunk boundaries and commit order are functions of
-          node index alone. The CLI flag is [--stream-jobs]. *)
+      (** [Stream]/[Hybrid] streamer selection. [0] (the default) runs
+          the sequential {!Ppnpart_partition.Stream} restreamer. A value
+          [N >= 1] runs the chunked parallel restreamer
+          ({!Ppnpart_partition.Stream_parallel}) on a team of [N]
+          domains: its labels are identical at every [N] (chunk
+          boundaries and commit order are functions of node index
+          alone) but are not the sequential streamer's, and on large
+          skewed inputs they can violate Rmax where the sequential
+          answer is feasible (DESIGN.md §6.9). The CLI flag is
+          [--stream-jobs]; the daemon [partition] op takes
+          ["stream_jobs"]. *)
   stream_chunk : int;
       (** node-index chunk size for chunked restreaming (default
           {!Ppnpart_partition.Stream_parallel.default_chunk} = 4096).
           Inputs with [n <= stream_chunk] use the sequential streamer
           verbatim. Must be ≥ 1. *)
-  stream_ingest : bool;
-      (** when true, {!Gp.partition_metis} fuses METIS parsing with the
-          first streaming pass ({!Ppnpart_partition.Stream_parallel.ingest}):
-          placement starts while the text is still being tokenized and
-          no intermediate parse-then-stream round trip happens. Only
-          consulted by [Stream]/[Hybrid] modes; the CLI flag is
-          [--stream-ingest] (default false). *)
   repartition_gate : float;
       (** {!Gp.repartition} edit-ratio gate: when an edit touches more
           than this fraction of the edited graph's nodes, incremental

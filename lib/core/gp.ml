@@ -40,28 +40,37 @@ let refine_width (cfg : Config.t) n =
   else if cfg.Config.refine_jobs > 0 then cfg.Config.refine_jobs
   else min (Pool.resolve cfg.Config.jobs) (Domains.recommended ())
 
-let with_refine_team (cfg : Config.t) n f =
-  let width = refine_width cfg n in
+let with_team width f =
   if width <= 1 then f None
   else begin
     let tm = Team.create ~width in
     Fun.protect ~finally:(fun () -> Team.shutdown tm) (fun () -> f (Some tm))
   end
 
-(* Width of the chunked-streaming team: same policy as [refine_width],
-   gated on the chunk size — an input that fits one chunk runs the
-   sequential streamer verbatim, so a team would idle. *)
-let stream_width (cfg : Config.t) n =
-  if n <= cfg.Config.stream_chunk || Domains.in_worker () then 1
-  else if cfg.Config.stream_jobs > 0 then cfg.Config.stream_jobs
-  else min (Pool.resolve cfg.Config.jobs) (Domains.recommended ())
+let with_refine_team (cfg : Config.t) n f = with_team (refine_width cfg n) f
 
-let with_stream_team (cfg : Config.t) n f =
-  let width = stream_width cfg n in
-  if width <= 1 then f None
+(* The streaming stage of [Stream]/[Hybrid]. The sequential streamer
+   is the default: the chunked restreamer scores against frozen
+   pass-start state and returned answers up to 10x over rmax on a 1M
+   R-MAT the sequential streamer answers feasibly (DESIGN.md §6.9), so
+   it runs only when [stream_jobs] asks for it explicitly. Its team
+   width is that value, gated on the chunk size — an input that fits
+   one chunk runs the sequential pass verbatim, so a team would
+   idle. *)
+let stream_labels (cfg : Config.t) ~workspace g c =
+  let max_iterations = cfg.Config.stream_iterations in
+  if cfg.Config.stream_jobs = 0 then
+    fst (Stream.partition ~workspace ~max_iterations g c)
   else begin
-    let tm = Team.create ~width in
-    Fun.protect ~finally:(fun () -> Team.shutdown tm) (fun () -> f (Some tm))
+    let width =
+      if Wgraph.n_nodes g <= cfg.Config.stream_chunk || Domains.in_worker ()
+      then 1
+      else cfg.Config.stream_jobs
+    in
+    with_team width (fun team ->
+        fst
+          (Stream_parallel.partition ?team ~workspace ~max_iterations
+             ~chunk_size:cfg.Config.stream_chunk g c))
   end
 
 let descend (cfg : Config.t) ?workspace ?team ~jobs rng hierarchy c =
@@ -251,13 +260,7 @@ let exhaustive_best g (c : Types.constraints) =
   go 0 0;
   !best
 
-(* [stream_seed]: externally-produced streaming labels (the pipelined
-   ingest's fused first pass + restreams) standing in for the
-   [Stream]/[Hybrid] streaming stage. Ignored by [Multilevel] and by
-   the degenerate dispatch below — those inputs never reach the
-   streaming stage in the first place. *)
-let run_partition ?stream_seed ~(config : Config.t) g (c : Types.constraints)
-    =
+let run_partition ~(config : Config.t) g (c : Types.constraints) =
   Config.validate config;
   (* No jobs-dependent attribute may appear here: the exported trace is
      documented to be identical for every job count. *)
@@ -322,17 +325,7 @@ let run_partition ?stream_seed ~(config : Config.t) g (c : Types.constraints)
     match mode with
     | Config.Stream ->
         let part =
-          match stream_seed with
-          | Some part -> part
-          | None ->
-              let part, _stats =
-                with_stream_team config n (fun team ->
-                    Stream_parallel.partition ?team
-                      ~workspace:(Workspace.create ())
-                      ~max_iterations:config.Config.stream_iterations
-                      ~chunk_size:config.Config.stream_chunk g c)
-              in
-              part
+          stream_labels config ~workspace:(Workspace.create ()) g c
         in
         if Ppnpart_check.Check.enabled () then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c part;
@@ -349,18 +342,7 @@ let run_partition ?stream_seed ~(config : Config.t) g (c : Types.constraints)
            itself. *)
         let checking = Ppnpart_check.Check.enabled () in
         let ws = Workspace.create () in
-        let seed_part =
-          match stream_seed with
-          | Some part -> part
-          | None ->
-              let part, _stats =
-                with_stream_team config n (fun team ->
-                    Stream_parallel.partition ?team ~workspace:ws
-                      ~max_iterations:config.Config.stream_iterations
-                      ~chunk_size:config.Config.stream_chunk g c)
-              in
-              part
-        in
+        let seed_part = stream_labels config ~workspace:ws g c in
         if checking then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c seed_part;
         let seed_goodness = Metrics.goodness g c seed_part in
@@ -494,58 +476,6 @@ let partition_exn ?config g c =
       "GP: partitioning with these constraints is either impossible or the \
        tool needs more iterations (increase max_cycles)";
   r
-
-let partition_metis ?(config = Config.default) text c =
-  let fused =
-    config.Config.stream_ingest
-    &&
-    match config.Config.mode with
-    | Config.Stream | Config.Hybrid -> true
-    | Config.Multilevel -> false
-  in
-  if not fused then begin
-    let g = Graph_io.of_metis text in
-    (g, partition ~config g c)
-  end
-  else begin
-    Config.validate config;
-    let run () =
-      (* The team must exist before parsing starts (the fused first
-         pass needs it for its restreams), i.e. before [n] is known —
-         so the width comes from the jobs budget alone, without
-         [stream_width]'s small-input gate. Ingest is for inputs whose
-         parse is worth pipelining; a small graph merely idles the
-         team. *)
-      let width =
-        if Domains.in_worker () then 1
-        else if config.Config.stream_jobs > 0 then config.Config.stream_jobs
-        else
-          min (Pool.resolve config.Config.jobs) (Domains.recommended ())
-      in
-      let ingest team =
-        Stream_parallel.ingest_text ?team
-          ~workspace:(Workspace.create ())
-          ~max_iterations:config.Config.stream_iterations
-          ~chunk_size:config.Config.stream_chunk c text
-      in
-      let g, seed, _stats =
-        if width <= 1 then ingest None
-        else begin
-          let tm = Team.create ~width in
-          Fun.protect
-            ~finally:(fun () -> Team.shutdown tm)
-            (fun () -> ingest (Some tm))
-        end
-      in
-      (* Degenerate inputs (empty, k = 1, n <= k, zero edges) never
-         reach the streaming stage, so the seed is simply unused
-         there — [run_partition] answers exactly as parse-then-partition
-         would. *)
-      (g, run_partition ~stream_seed:seed ~config g c)
-    in
-    if config.Config.debug_checks then Ppnpart_check.Check.with_checks run
-    else run ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Incremental repartitioning (DESIGN.md §6.7).

@@ -36,191 +36,17 @@ let ints_of_line line =
            | Some i -> Some i
            | None -> failwith ("Graph_io: not an integer: " ^ s))
 
-(* Single-pass METIS parser: one cursor over the raw text. The previous
-   parser split the whole input into a line list and every line into a
-   token string list before converting — on a multi-million-edge file
-   that transient list/string garbage dwarfed the graph itself and
-   dominated ingest time. Only the error paths allocate now. *)
-let of_metis text =
-  let len = String.length text in
-  let pos = ref 0 in
-  let is_hspace c = c = ' ' || c = '\t' || c = '\r' in
-  let skip_hspace () =
-    while !pos < len && is_hspace text.[!pos] do
-      incr pos
-    done
-  in
-  (* Advance to the first token of the next non-blank, non-comment line;
-     false at end of input. *)
-  let rec next_line () =
-    skip_hspace ();
-    if !pos >= len then false
-    else
-      match text.[!pos] with
-      | '\n' ->
-        incr pos;
-        next_line ()
-      | '%' ->
-        while !pos < len && text.[!pos] <> '\n' do
-          incr pos
-        done;
-        next_line ()
-      | _ -> true
-  in
-  let at_eol () =
-    skip_hspace ();
-    !pos >= len || text.[!pos] = '\n'
-  in
-  (* The token at the cursor as an int. The all-decimal hot path
-     accumulates in place; anything else (signs, hex/underscore forms,
-     garbage, > 18 digits) falls back to a substring + [int_of_string],
-     so acceptance and the "not an integer" failure match the line-list
-     tokenizer exactly. Callers guarantee [not (at_eol ())]. *)
-  let token_int () =
-    let start = !pos in
-    let v = ref 0 and digits = ref 0 and plain = ref true in
-    while !pos < len && (not (is_hspace text.[!pos])) && text.[!pos] <> '\n' do
-      let c = text.[!pos] in
-      if c >= '0' && c <= '9' then begin
-        v := (!v * 10) + (Char.code c - Char.code '0');
-        incr digits
-      end
-      else plain := false;
-      incr pos
-    done;
-    if !plain && !digits > 0 && !digits <= 18 then !v
-    else begin
-      let s = String.sub text start (!pos - start) in
-      match int_of_string_opt s with
-      | Some i -> i
-      | None -> failwith ("Graph_io: not an integer: " ^ s)
-    end
-  in
-  if not (next_line ()) then failwith "Graph_io.of_metis: empty input";
-  let h1 = token_int () in
-  if at_eol () then failwith "Graph_io.of_metis: bad header";
-  let h2 = token_int () in
-  let n, m_decl, has_vsize, has_vwgt, has_ewgt =
-    if at_eol () then (h1, h2, false, false, false)
-    else begin
-      let fmt = token_int () in
-      if not (at_eol ()) then failwith "Graph_io.of_metis: bad header";
-      (h1, h2, fmt / 100 mod 10 = 1, fmt / 10 mod 10 = 1, fmt mod 10 = 1)
-    end
-  in
-  if n < 0 then failwith "Graph_io.of_metis: bad header";
-  let vwgt = Array.make n 1 in
-  (* Every directed adjacency mention, keyed by the undirected pair.
-     Checking each pair individually — both directions present, listed
-     exactly once each, equal weights — catches asymmetries that
-     compensating errors (e.g. a duplicated upper-triangle entry merged
-     by weight addition) would slip past an aggregate edge count. *)
-  let seen = Hashtbl.create (max 16 (2 * m_decl)) in
-  let record u v w =
-    if v < 0 || v >= n then
-      failwith
-        (Printf.sprintf
-           "Graph_io.of_metis: neighbour %d of node %d out of range"
-           (v + 1) (u + 1));
-    if v = u then
-      failwith
-        (Printf.sprintf "Graph_io.of_metis: self loop on node %d" (u + 1));
-    let key = (min u v, max u v) in
-    let up, down =
-      Option.value ~default:([], []) (Hashtbl.find_opt seen key)
-    in
-    Hashtbl.replace seen key
-      (if u < v then (w :: up, down) else (up, w :: down))
-  in
-  for u = 0 to n - 1 do
-    if not (next_line ()) then
-      failwith
-        (Printf.sprintf "Graph_io.of_metis: expected %d node lines, got %d" n
-           u);
-    if has_vsize then begin
-      if at_eol () then failwith "Graph_io.of_metis: missing vertex size";
-      ignore (token_int ())
-    end;
-    if has_vwgt then begin
-      if at_eol () then failwith "Graph_io.of_metis: missing vertex weight";
-      vwgt.(u) <- token_int ()
-    end;
-    while not (at_eol ()) do
-      let v = token_int () in
-      if has_ewgt then begin
-        if at_eol () then
-          failwith
-            (Printf.sprintf
-               "Graph_io.of_metis: neighbour of node %d without a weight"
-               (u + 1));
-        record u (v - 1) (token_int ())
-      end
-      else record u (v - 1) 1
-    done
-  done;
-  if next_line () then begin
-    (* Error path only: count the surplus lines for the message. *)
-    let extra = ref 0 in
-    while next_line () do
-      incr extra;
-      while !pos < len && text.[!pos] <> '\n' do
-        incr pos
-      done
-    done;
-    failwith
-      (Printf.sprintf "Graph_io.of_metis: expected %d node lines, got %d" n
-         (n + !extra))
-  end;
-  failure_only ~reader:"Graph_io.of_metis" @@ fun () ->
-  begin
-    let el = Edge_list.create n in
-    Hashtbl.iter
-      (fun (u, v) (up, down) ->
-        let pair = Printf.sprintf "%d-%d" (u + 1) (v + 1) in
-        match (up, down) with
-        | [ wu ], [ wd ] ->
-          if wu <> wd then
-            failwith
-              (Printf.sprintf
-                 "Graph_io.of_metis: asymmetric weight on edge %s (%d vs %d)"
-                 pair wu wd);
-          Edge_list.add el u v wu
-        | _ :: _ :: _, _ | _, _ :: _ :: _ ->
-          failwith
-            (Printf.sprintf
-               "Graph_io.of_metis: duplicate adjacency entry for edge %s" pair)
-        | [], _ | _, [] ->
-          failwith
-            (Printf.sprintf
-               "Graph_io.of_metis: asymmetric adjacency: edge %s is listed \
-                on one endpoint only"
-               pair))
-      seen;
-    let g = Wgraph.build ~vwgt el in
-    if Wgraph.n_edges g <> m_decl then
-      failwith
-        (Printf.sprintf "Graph_io.of_metis: declared %d edges, found %d"
-           m_decl (Wgraph.n_edges g));
-    Wgraph.validate g;
-    g
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Incremental row-based construction (DESIGN.md §6.9).                *)
+(* The METIS reader (DESIGN.md §6.9).                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [Builder]: the CSR accumulator behind the incremental METIS reader.
-   Rows arrive in node order, each mention is range/self-loop checked on
-   arrival, and the whole-graph checks [of_metis] performs through its
-   per-pair hash table — duplicates, adjacency and weight symmetry, the
-   declared edge count — run once at [finish] over the sorted adjacency
-   slices instead: O(m log d) with no per-pair heap cells, which is what
-   lets a first streaming pass overlap parsing without paying the
-   table.
-
-   Error messages are kept byte-identical to [of_metis] (including its
-   [failure_only] constructor funnels), so the two paths are
-   differentially testable on the same malformed corpus. *)
+(* [Builder]: the CSR accumulator behind the METIS reader. Rows arrive
+   in node order and each mention is range/self-loop checked on
+   arrival. The whole-graph checks — duplicates, adjacency and weight
+   symmetry, negative weights — are {!Wgraph.of_csr}'s single O(n + m)
+   validation over the sorted slices; only when it rejects does
+   [diagnose] walk the graph again, to name the first defect in the
+   order and words this reader has always used. *)
 module Builder = struct
   type t = {
     n : int;
@@ -270,8 +96,7 @@ module Builder = struct
     t.adjwgt.(t.m2) <- w;
     t.m2 <- t.m2 + 1
 
-  (* One mention [v] (0-based) of weight [w] in the current row; checks
-     and messages match [of_metis]'s [record]. *)
+  (* One mention [v] (0-based) of weight [w] in the current row. *)
   let mention t v w =
     let u = t.next_u in
     if v < 0 || v >= t.n then
@@ -301,12 +126,57 @@ module Builder = struct
     let a = min u v and b = max u v in
     Printf.sprintf "%d-%d" (a + 1) (b + 1)
 
+  (* Error path only, over sorted slices: duplicates in any row, then
+     symmetry in row order (a binary search into the mirror slice per
+     entry), then negative edge and node weights. Raises on the first
+     defect found. *)
+  let diagnose t ~adjncy ~adjwgt =
+    let xadj = t.xadj in
+    for u = 0 to t.n - 1 do
+      for i = xadj.(u) + 1 to xadj.(u + 1) - 1 do
+        if adjncy.(i) = adjncy.(i - 1) then
+          fail_f "Graph_io.of_metis: duplicate adjacency entry for edge %s"
+            (pair_name u adjncy.(i))
+      done
+    done;
+    let mirror_index u v =
+      (* Position of [u] in [v]'s slice, or -1. *)
+      let lo = ref xadj.(v) and hi = ref (xadj.(v + 1) - 1) in
+      let found = ref (-1) in
+      while !found < 0 && !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        let x = adjncy.(mid) in
+        if x = u then found := mid
+        else if x < u then lo := mid + 1
+        else hi := mid - 1
+      done;
+      !found
+    in
+    for u = 0 to t.n - 1 do
+      for i = xadj.(u) to xadj.(u + 1) - 1 do
+        let v = adjncy.(i) in
+        let j = mirror_index u v in
+        if j < 0 then
+          fail_f
+            "Graph_io.of_metis: asymmetric adjacency: edge %s is listed on \
+             one endpoint only"
+            (pair_name u v);
+        if u < v && adjwgt.(i) <> adjwgt.(j) then
+          fail_f "Graph_io.of_metis: asymmetric weight on edge %s (%d vs %d)"
+            (pair_name u v)
+            adjwgt.(i) adjwgt.(j)
+      done
+    done;
+    if Array.exists (fun w -> w < 0) adjwgt then
+      failwith "Graph_io.of_metis: Edge_list.add: negative weight";
+    if Array.exists (fun w -> w < 0) t.vwgt then
+      failwith "Graph_io.of_metis: Wgraph.build: negative vwgt"
+
   let finish t =
     if t.next_u < t.n then
       fail_f "Graph_io.of_metis: expected %d node lines, got %d" t.n
         t.next_u;
-    let n = t.n in
-    let xadj = t.xadj in
+    let n = t.n and xadj = t.xadj in
     let adjncy =
       if Array.length t.adjncy = t.m2 then t.adjncy
       else Array.sub t.adjncy 0 t.m2
@@ -324,81 +194,27 @@ module Builder = struct
       for i = lo + 1 to hi - 1 do
         if adjncy.(i) <= adjncy.(i - 1) then sorted := false
       done;
-      if not !sorted then begin
-        let len = hi - lo in
-        let pairs = Array.init len (fun i -> (adjncy.(lo + i), adjwgt.(lo + i))) in
-        Array.sort (fun (a, _) (b, _) -> compare (a : int) b) pairs;
-        for i = 0 to len - 1 do
-          let v, w = pairs.(i) in
-          adjncy.(lo + i) <- v;
-          adjwgt.(lo + i) <- w
-        done
-      end
+      if not !sorted then Int_sort.sort_pairs adjncy adjwgt ~lo ~len:(hi - lo)
     done;
-    (* The per-pair checks of [of_metis], in a deterministic order:
-       duplicates within a row, then both-endpoint presence and weight
-       agreement via binary search in the mirror row. *)
-    for u = 0 to n - 1 do
-      for i = xadj.(u) + 1 to xadj.(u + 1) - 1 do
-        if adjncy.(i) = adjncy.(i - 1) then
-          fail_f "Graph_io.of_metis: duplicate adjacency entry for edge %s"
-            (pair_name u adjncy.(i))
-      done
-    done;
-    let mirror_index u v =
-      (* Position of [u] in [v]'s (sorted, duplicate-free) slice. *)
-      let lo = ref xadj.(v) and hi = ref (xadj.(v + 1) - 1) in
-      let found = ref (-1) in
-      while !found < 0 && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let x = adjncy.(mid) in
-        if x = u then found := mid
-        else if x < u then lo := mid + 1
-        else hi := mid - 1
-      done;
-      !found
+    let g =
+      try Wgraph.of_csr ~vwgt:t.vwgt ~n ~xadj ~adjncy ~adjwgt ()
+      with Invalid_argument msg ->
+        diagnose t ~adjncy ~adjwgt;
+        failwith ("Graph_io.of_metis: " ^ msg)
     in
-    for u = 0 to n - 1 do
-      for i = xadj.(u) to xadj.(u + 1) - 1 do
-        let v = adjncy.(i) in
-        let j = mirror_index u v in
-        if j < 0 then
-          fail_f
-            "Graph_io.of_metis: asymmetric adjacency: edge %s is listed on \
-             one endpoint only"
-            (pair_name u v);
-        if u < v && adjwgt.(i) <> adjwgt.(j) then
-          fail_f "Graph_io.of_metis: asymmetric weight on edge %s (%d vs %d)"
-            (pair_name u v)
-            adjwgt.(i) adjwgt.(j)
-      done
-    done;
-    (* Constructor checks, message-compatible with the legacy
-       [Edge_list.add] / [Wgraph.build] funnels. *)
-    for i = 0 to t.m2 - 1 do
-      if adjwgt.(i) < 0 then
-        failwith "Graph_io.of_metis: Edge_list.add: negative weight"
-    done;
-    for u = 0 to n - 1 do
-      if t.vwgt.(u) < 0 then
-        failwith "Graph_io.of_metis: Wgraph.build: negative vwgt"
-    done;
     (match t.m_decl with
-    | Some m_decl when t.m2 / 2 <> m_decl ->
+    | Some m_decl when Wgraph.n_edges g <> m_decl ->
       fail_f "Graph_io.of_metis: declared %d edges, found %d" m_decl
-        (t.m2 / 2)
+        (Wgraph.n_edges g)
     | _ -> ());
-    failure_only ~reader:"Graph_io.of_metis" @@ fun () ->
-    Wgraph.of_csr ~vwgt:t.vwgt ~n ~xadj ~adjncy ~adjwgt ()
+    g
 end
 
 (* [Rows]: a resumable cursor over METIS text fed in arbitrary pieces.
-   Complete lines are tokenized with the same cursor/token logic as
-   [of_metis] (incomplete trailing lines wait in a carry buffer for the
-   next [feed]), each finished adjacency row is pushed into a {!Builder}
-   and handed to [on_row] immediately — this is the hook the pipelined
-   streaming ingest hangs its first placement pass on — and [finish]
-   runs the deferred whole-graph validation. *)
+   Complete lines are tokenized in place (incomplete trailing lines
+   wait in a carry buffer for the next [feed]), each finished adjacency
+   row is pushed into a {!Builder}, and [finish] runs the deferred
+   whole-graph validation. Tokenizing allocates only on error paths. *)
 module Rows = struct
   type phase =
     | Header
@@ -415,14 +231,9 @@ module Rows = struct
     mutable builder : Builder.t option;
     pending : Buffer.t;
     mutable finished : bool;
-    on_header : (n:int -> m_decl:int -> unit) option;
-    on_row :
-      (u:int -> vwgt:int -> off:int -> deg:int -> adj:int array ->
-       adjw:int array -> unit)
-        option;
   }
 
-  let create ?on_header ?on_row () =
+  let create () =
     {
       phase = Header;
       n = 0;
@@ -433,8 +244,6 @@ module Rows = struct
       builder = None;
       pending = Buffer.create 256;
       finished = false;
-      on_header;
-      on_row;
     }
 
   let header t =
@@ -444,8 +253,8 @@ module Rows = struct
     match t.builder with None -> 0 | Some b -> Builder.rows_done b
 
   (* Tokenize every complete line in [text.[lo .. hi - 1]], advancing
-     the parse state. Mirrors [of_metis]'s cursor exactly, including the
-     blank/comment-line skipping and the all-decimal fast path. *)
+     the parse state: blank and [%] comment lines are skipped, and the
+     all-decimal token fast path accumulates in place. *)
   let process t text lo hi =
     let pos = ref lo in
     let is_hspace c = c = ' ' || c = '\t' || c = '\r' in
@@ -454,6 +263,8 @@ module Rows = struct
         incr pos
       done
     in
+    (* Advance to the first token of the next non-blank, non-comment
+       line; false at the end of the piece. *)
     let rec next_line () =
       skip_hspace ();
       if !pos >= hi then false
@@ -473,6 +284,10 @@ module Rows = struct
       skip_hspace ();
       !pos >= hi || text.[!pos] = '\n'
     in
+    (* The token at the cursor as an int. Anything but a plain decimal
+       of at most 18 digits (signs, hex/underscore forms, garbage) falls
+       back to [int_of_string], which decides acceptance. Callers
+       guarantee [not (at_eol ())]. *)
     let token_int () =
       let start = !pos in
       let v = ref 0 and digits = ref 0 and plain = ref true in
@@ -512,12 +327,10 @@ module Rows = struct
         t.n <- h1;
         t.m_decl <- h2;
         t.builder <- Some (Builder.create ~m_decl:h2 h1);
-        t.phase <- (if h1 = 0 then Done 0 else Fields);
-        Option.iter (fun f -> f ~n:h1 ~m_decl:h2) t.on_header
+        t.phase <- (if h1 = 0 then Done 0 else Fields)
       | Fields ->
         let b = Option.get t.builder in
         let u = Builder.rows_done b in
-        let row_off = b.Builder.m2 in
         if t.has_vsize then begin
           if at_eol () then
             failwith "Graph_io.of_metis: missing vertex size";
@@ -541,16 +354,10 @@ module Rows = struct
           else Builder.mention b (v - 1) 1
         done;
         Builder.end_row b;
-        if Builder.rows_done b = t.n then t.phase <- Done 0;
-        Option.iter
-          (fun f ->
-            f ~u ~vwgt:b.Builder.vwgt.(u) ~off:row_off
-              ~deg:(b.Builder.m2 - row_off) ~adj:b.Builder.adjncy
-              ~adjw:b.Builder.adjwgt)
-          t.on_row
+        if Builder.rows_done b = t.n then t.phase <- Done 0
       | Done extra ->
-        (* Surplus line: count it (for the message parity with
-           [of_metis]) and skip to its end. *)
+        (* Surplus line: count it for the message and skip to its
+           end. *)
         t.phase <- Done (extra + 1);
         while !pos < hi && text.[!pos] <> '\n' do
           incr pos
@@ -609,7 +416,7 @@ module Rows = struct
       else Builder.finish (Option.get t.builder)
 end
 
-let of_metis_rows text =
+let of_metis text =
   let r = Rows.create () in
   Rows.feed r text;
   Rows.finish r

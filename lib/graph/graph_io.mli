@@ -17,7 +17,9 @@ val to_metis : Wgraph.t -> string
 val of_metis : string -> Wgraph.t
 (** Parses the output of {!to_metis}; also accepts fmt codes [0], [1], [10],
     [11], [100], [110], [111] (vertex-size field is parsed and ignored).
-    Comment lines starting with [%] are skipped.
+    Comment lines starting with [%] are skipped. This is one {!Rows.feed}
+    of the whole text followed by {!Rows.finish}: O(size of the text),
+    with whole-graph validation in one O(n + m) pass.
     @raise Failure on malformed input or asymmetric weights — and {e
     only} [Failure]: checks the underlying constructors signal with
     [Invalid_argument] (negative node or edge weights, say) are
@@ -27,11 +29,9 @@ val of_metis : string -> Wgraph.t
 module Builder : sig
   (** Incremental CSR construction from adjacency rows supplied in node
       order. Per-mention checks (neighbour range, self loops) run on
-      arrival; whole-graph checks ({!of_metis}'s duplicate, symmetry and
-      edge-count validation) run once at {!finish} over the sorted
-      slices. All error messages are byte-identical to {!of_metis}, so
-      both paths are interchangeable for callers and differentially
-      testable on the same corpus. *)
+      arrival; whole-graph checks (duplicates, symmetry, negative
+      weights, the declared edge count) run once at {!finish}. All
+      error messages are {!of_metis}'s. *)
 
   type t
 
@@ -69,31 +69,14 @@ end
 
 module Rows : sig
   (** Resumable cursor over METIS [.graph] text fed in arbitrary
-      pieces. Complete lines are tokenized exactly as {!of_metis} does
-      (an incomplete trailing line is carried to the next {!feed});
-      each finished adjacency row is pushed into a {!Builder} and
-      reported to [on_row] immediately, which is what lets a first
-      streaming-partition pass overlap parsing. *)
+      pieces: the reader behind {!of_metis} and the daemon's chunked
+      upload. Complete lines are tokenized as they arrive (an
+      incomplete trailing line is carried to the next {!feed}) and
+      pushed into a {!Builder}. *)
 
   type t
 
-  val create :
-    ?on_header:(n:int -> m_decl:int -> unit) ->
-    ?on_row:
-      (u:int ->
-      vwgt:int ->
-      off:int ->
-      deg:int ->
-      adj:int array ->
-      adjw:int array ->
-      unit) ->
-    unit ->
-    t
-  (** [on_row] receives row [u]'s mentions as [adj.(off .. off+deg-1)]
-      / [adjw.(off .. off+deg-1)] (0-based neighbours, already
-      range/self-loop checked). The arrays are the builder's live
-      backing store: valid during the callback, but they may be
-      replaced by growth afterwards — consume or copy, don't retain. *)
+  val create : unit -> t
 
   val header : t -> (int * int) option
   (** [(n, m_decl)] once the header line has been parsed. *)
@@ -111,11 +94,6 @@ module Rows : sig
       including "empty input" and the truncated / surplus node-line
       counts. *)
 end
-
-val of_metis_rows : string -> Wgraph.t
-(** {!of_metis} semantics via the incremental {!Rows} reader — same
-    graphs, same [Failure] messages. The differential twin used by
-    tests and fuzzing. *)
 
 val to_metis_chunks : ?rows_per_chunk:int -> Wgraph.t -> (string -> unit) -> unit
 (** [to_metis_chunks g emit]: {!to_metis} output delivered through

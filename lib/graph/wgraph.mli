@@ -39,10 +39,11 @@ val of_csr :
   t
 (** [of_csr ~n ~xadj ~adjncy ~adjwgt ()] adopts ready-made CSR arrays
     without copying them — the caller transfers ownership and must not
-    mutate them afterwards. The arrays are validated in O(n + m log d):
-    row pointers monotone and exhaustive, every adjacency slice strictly
+    mutate them afterwards. The arrays are validated in O(n + m): row
+    pointers monotone and exhaustive, every adjacency slice strictly
     ascending (sorted, duplicate-free), neighbours in range, no self
-    loops, non-negative weights, and ids/weights symmetric. [vwgt]
+    loops, non-negative weights, and ids/weights symmetric (one
+    cursor sweep over the slices, no per-entry search). [vwgt]
     defaults to all-ones and is copied like in {!build}.
     @raise Invalid_argument naming the first violation. *)
 

@@ -22,9 +22,9 @@
     - [{"op":"partition","graph":ID,"k":K,"bmax":B,"rmax":R,"mode":M,
        "seed":S,"jobs":J,"stream_jobs":SJ}] — partition a submitted
       graph. [bmax]/[rmax] default to unconstrained, [mode] to
-      ["multilevel"], [seed] to 0, [jobs] to 1, [stream_jobs] (chunked
-      restreaming team width for stream/hybrid modes; width never
-      affects results) to 0 = auto. The labelling is retained for
+      ["multilevel"], [seed] to 0, [jobs] to 1, [stream_jobs] to 0
+      (stream/hybrid modes: 0 runs the sequential streamer, N >= 1 the
+      chunked restreamer on N domains). The labelling is retained for
       subsequent [repartition] calls.
     - [{"op":"repartition","graph":ID,"edits":[...]}] — apply an edit
       batch and incrementally repartition from the retained labelling

@@ -225,6 +225,11 @@ let test_of_csr_validation () =
         ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5 |] ());
   rejects_invalid "asymmetric weight" (fun () ->
       mk ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5; 4 |] ());
+  rejects_invalid "entry listed by the higher endpoint only" (fun () ->
+      mk
+        ~xadj:[| 0; 2; 4; 7; 9 |]
+        ~adjncy:[| 1; 2; 0; 2; 0; 1; 3; 1; 2 |]
+        ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5; 4; 5 |] ());
   rejects_invalid "vwgt wrong length" (fun () -> mk ~vwgt:[| 1; 1 |] ());
   rejects_invalid "vwgt negative" (fun () -> mk ~vwgt:[| 1; 1; -1; 1 |] ())
 
@@ -354,45 +359,91 @@ let test_dot_contains_clusters () =
 
 (* --- Graph_io.Rows: the incremental reader (DESIGN.md §6.9) --- *)
 
-(* The cursor-based reader must be indistinguishable from of_metis:
-   same graphs on valid input, byte-identical Failure messages on the
-   malformed corpus. Each entry below trips a different validation
-   (header, tokenizer, per-mention, end-of-stream). *)
+(* The reader's Failure messages are part of its contract (the daemon
+   forwards them verbatim), so each malformed document is pinned to the
+   exact message the original per-pair Hashtbl tokenizer gave it. Each
+   entry trips a different validation: header, tokenizer, per-mention,
+   end-of-stream. *)
 let malformed_corpus =
   [
-    ("empty input", "");
-    ("blank lines only", "% comment\n\n");
-    ("bad header: no m", "2\n");
-    ("bad header: negative n", "-1 0\n");
-    ("header not an integer", "two 1\n2\n1\n");
-    ("truncated node lines", "3 2\n2\n1 3\n");
-    ("surplus node lines", "2 1\n2\n1\n1 2\n");
-    ("wrong edge count", "2 5 000\n2\n1\n");
-    ("asymmetric adjacency", "3 2 000\n2 3\n1\n2\n");
-    ("asymmetric weight", "2 1 001\n2 5\n1 7\n");
-    ("duplicate adjacency", "2 2 000\n2 2\n1 1\n");
-    ("neighbour out of range", "2 1 000\n3\n1\n");
-    ("self loop", "2 1 000\n1\n1\n");
-    ("missing edge weight", "2 1 001\n2\n1 5\n");
-    ("negative vertex weight", "2 1 010\n-1 2\n1 2\n");
-    ("body not an integer", "2 1\n2x\n1\n");
+    ("empty input", "", "Graph_io.of_metis: empty input");
+    ("blank lines only", "% comment\n\n", "Graph_io.of_metis: empty input");
+    ("bad header: no m", "2\n", "Graph_io.of_metis: bad header");
+    ("bad header: negative n", "-1 0\n", "Graph_io.of_metis: bad header");
+    ( "header not an integer",
+      "two 1\n2\n1\n",
+      "Graph_io: not an integer: two" );
+    ( "truncated node lines",
+      "3 2\n2\n1 3\n",
+      "Graph_io.of_metis: expected 3 node lines, got 2" );
+    ( "surplus node lines",
+      "2 1\n2\n1\n1 2\n",
+      "Graph_io.of_metis: expected 2 node lines, got 3" );
+    ( "wrong edge count",
+      "2 5 000\n2\n1\n",
+      "Graph_io.of_metis: declared 5 edges, found 1" );
+    ( "asymmetric adjacency",
+      "3 2 000\n2 3\n1\n2\n",
+      "Graph_io.of_metis: asymmetric adjacency: edge 1-3 is listed on one \
+       endpoint only" );
+    ( "asymmetric weight",
+      "2 1 001\n2 5\n1 7\n",
+      "Graph_io.of_metis: asymmetric weight on edge 1-2 (5 vs 7)" );
+    ( "duplicate adjacency",
+      "2 2 000\n2 2\n1 1\n",
+      "Graph_io.of_metis: duplicate adjacency entry for edge 1-2" );
+    ( "neighbour out of range",
+      "2 1 000\n3\n1\n",
+      "Graph_io.of_metis: neighbour 3 of node 1 out of range" );
+    ( "self loop",
+      "2 1 000\n1\n1\n",
+      "Graph_io.of_metis: self loop on node 1" );
+    ( "missing edge weight",
+      "2 1 001\n2\n1 5\n",
+      "Graph_io.of_metis: neighbour of node 1 without a weight" );
+    (* fmt 010 carries no edge weights: row 2 is weight 1 plus a
+       mention of itself. *)
+    ( "negative vertex weight",
+      "2 1 010\n-1 2\n1 2\n",
+      "Graph_io.of_metis: self loop on node 2" );
+    ("body not an integer", "2 1\n2x\n1\n", "Graph_io: not an integer: 2x");
+    ( "negative edge weight",
+      "2 1 001\n2 -3\n1 -3\n",
+      "Graph_io.of_metis: Edge_list.add: negative weight" );
+    ( "negative node weight",
+      "2 1 011\n-1 2 3\n1 1 3\n",
+      "Graph_io.of_metis: Wgraph.build: negative vwgt" );
+    ( "listed by the higher endpoint only",
+      "3 1 010\n1\n1\n1 2\n",
+      "Graph_io.of_metis: asymmetric adjacency: edge 2-3 is listed on one \
+       endpoint only" );
+    ( "asymmetric weight in the last row",
+      "3 2 001\n2 4\n1 4 3 6\n2 5\n",
+      "Graph_io.of_metis: asymmetric weight on edge 2-3 (6 vs 5)" );
   ]
 
 let test_rows_malformed_parity () =
   List.iter
-    (fun (name, text) ->
-      let expected =
+    (fun (name, text, expected) ->
+      let got =
         match Graph_io.of_metis text with
         | _ -> Alcotest.failf "%s: of_metis accepted %S" name text
         | exception Failure msg -> msg
       in
-      let got =
-        match Graph_io.of_metis_rows text with
-        | _ -> Alcotest.failf "%s: of_metis_rows accepted %S" name text
-        | exception Failure msg -> msg
-      in
       Alcotest.(check string) name expected got)
     malformed_corpus
+
+(* Feed [text] to a fresh reader in pieces of [piece] bytes. *)
+let feed_in_pieces piece text =
+  let r = Graph_io.Rows.create () in
+  let len = String.length text in
+  let pos = ref 0 in
+  while !pos < len do
+    let l = min piece (len - !pos) in
+    Graph_io.Rows.feed r (String.sub text !pos l);
+    pos := !pos + l
+  done;
+  Graph_io.Rows.finish r
 
 let test_rows_split_feed () =
   (* Chunk boundaries may fall anywhere — middle of a token, middle of
@@ -402,44 +453,9 @@ let test_rows_split_feed () =
   let text = Graph_io.to_metis g in
   List.iter
     (fun piece ->
-      let r = Graph_io.Rows.create () in
-      let len = String.length text in
-      let pos = ref 0 in
-      while !pos < len do
-        let l = min piece (len - !pos) in
-        Graph_io.Rows.feed r (String.sub text !pos l);
-        pos := !pos + l
-      done;
-      let g' = Graph_io.Rows.finish r in
       check_bool (Printf.sprintf "piece size %d" piece) true
-        (Wgraph.equal g g'))
+        (Wgraph.equal g (feed_in_pieces piece text)))
     [ 1; 2; 3; 7; 64; max 1 (String.length text) ]
-
-let test_rows_callbacks () =
-  (* on_header fires once with the declared sizes; on_row fires once
-     per node, in node order, with range-checked 0-based mentions. *)
-  let text = "3 2 011\n4 2 6\n5 1 6 3 2\n6 2 2\n" in
-  let headers = ref [] and rows = ref [] in
-  let r =
-    Graph_io.Rows.create
-      ~on_header:(fun ~n ~m_decl -> headers := (n, m_decl) :: !headers)
-      ~on_row:(fun ~u ~vwgt ~off ~deg ~adj ~adjw ->
-        let ns = Array.to_list (Array.sub adj off deg) in
-        let ws = Array.to_list (Array.sub adjw off deg) in
-        rows := (u, vwgt, ns, ws) :: !rows)
-      ()
-  in
-  Graph_io.Rows.feed r text;
-  let g = Graph_io.Rows.finish r in
-  Alcotest.(check (list (pair int int))) "header once" [ (3, 2) ] !headers;
-  Alcotest.(check int) "three rows" 3 (List.length !rows);
-  (match List.rev !rows with
-  | [ (0, 4, [ 1 ], [ 6 ]); (1, 5, [ 0; 2 ], [ 6; 2 ]); (2, 6, [ 1 ], [ 2 ]) ]
-    ->
-      ()
-  | _ -> Alcotest.fail "row callback order or payload wrong");
-  check_bool "same graph as of_metis" true
-    (Wgraph.equal g (Graph_io.of_metis text))
 
 let test_to_metis_chunks_bytes () =
   (* Chunked emission is a pure re-plumbing of to_metis: concatenating
@@ -499,13 +515,128 @@ let prop_metis_roundtrip =
 
 let prop_rows_reader_matches_of_metis =
   QCheck2.Test.make ~name:"incremental reader = of_metis" ~count:100
-    (arbitrary_edges 8 9)
-    (fun edges ->
+    (QCheck2.Gen.pair (arbitrary_edges 8 9) (QCheck2.Gen.int_range 1 40))
+    (fun (edges, piece) ->
       let el = Edge_list.create 8 in
       List.iter (fun (u, v, w) -> Edge_list.add el u v (w + 1)) edges;
       let g = Wgraph.build el in
       let text = Graph_io.to_metis g in
-      Wgraph.equal (Graph_io.of_metis text) (Graph_io.of_metis_rows text))
+      Wgraph.equal (Graph_io.of_metis text) (feed_in_pieces piece text))
+
+(* The symmetry check of [Wgraph.of_csr] is a single cursor sweep; the
+   reference below is the per-entry binary search into the mirror slice
+   it replaced. Start from a symmetric CSR and inject one defect of the
+   kind picked by [kind]: 1 drops one direction of an edge, 2 changes
+   one direction's weight, 3 adds an upper entry u -> v (u < v) without
+   its mirror, 4 adds a lower entry u -> v (u > v) without its mirror,
+   5 drops or reweights the last entry of the last non-empty row.
+   Kind 0 leaves the graph symmetric. Every slice stays strictly
+   ascending, in range and loop-free, so of_csr can only reject on
+   symmetry. *)
+let reference_symmetric xadj adjncy adjwgt =
+  let n = Array.length xadj - 1 in
+  let mirror u v =
+    let lo = ref xadj.(v) and hi = ref (xadj.(v + 1) - 1) and at = ref (-1) in
+    while !at < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      if adjncy.(mid) = u then at := mid
+      else if adjncy.(mid) < u then lo := mid + 1
+      else hi := mid - 1
+    done;
+    !at
+  in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for i = xadj.(u) to xadj.(u + 1) - 1 do
+      let j = mirror u adjncy.(i) in
+      if j < 0 || adjwgt.(j) <> adjwgt.(i) then ok := false
+    done
+  done;
+  !ok
+
+let csr_of_rows rows =
+  let n = Array.length rows in
+  let xadj = Array.make (n + 1) 0 in
+  Array.iteri (fun u r -> xadj.(u + 1) <- xadj.(u) + List.length r) rows;
+  let adjncy = Array.make xadj.(n) 0 and adjwgt = Array.make xadj.(n) 0 in
+  Array.iteri
+    (fun u r ->
+      List.iteri
+        (fun i (v, w) ->
+          adjncy.(xadj.(u) + i) <- v;
+          adjwgt.(xadj.(u) + i) <- w)
+        r)
+    rows;
+  (xadj, adjncy, adjwgt)
+
+let inject_defect rows ~kind ~pick =
+  let n = Array.length rows in
+  let entries =
+    List.concat (List.init n (fun u -> List.map (fun e -> (u, e)) rows.(u)))
+  in
+  let nth l = List.nth l (pick mod List.length l) in
+  let insert u v =
+    rows.(u) <- List.sort compare ((v, 1 + (pick mod 5)) :: rows.(u))
+  in
+  let non_edges upper =
+    List.concat
+      (List.init n (fun u ->
+           List.filter_map
+             (fun v ->
+               if v <> u && (upper = (u < v)) && not (List.mem_assoc v rows.(u))
+               then Some (u, v)
+               else None)
+             (List.init n Fun.id)))
+  in
+  let reweight u v w =
+    rows.(u) <-
+      List.map (fun (x, y) -> if x = v then (x, w + 1) else (x, y)) rows.(u)
+  in
+  (* true when a defect was injected *)
+  match kind with
+  | 1 when entries <> [] ->
+    let u, (v, _) = nth entries in
+    rows.(u) <- List.remove_assoc v rows.(u);
+    true
+  | 2 when entries <> [] ->
+    let u, (v, w) = nth entries in
+    reweight u v w;
+    true
+  | (3 | 4) when non_edges (kind = 3) <> [] ->
+    let u, v = nth (non_edges (kind = 3)) in
+    insert u v;
+    true
+  | 5 when entries <> [] ->
+    let u, (v, w) = List.nth entries (List.length entries - 1) in
+    if pick mod 2 = 0 then rows.(u) <- List.remove_assoc v rows.(u)
+    else reweight u v w;
+    true
+  | _ -> false
+
+let prop_csr_symmetry_scan_matches_reference =
+  QCheck2.Test.make ~name:"of_csr symmetry scan = binary-search reference"
+    ~count:500
+    QCheck2.Gen.(
+      triple (arbitrary_edges 10 9) (int_bound 5) (int_bound 1_000_000))
+    (fun (edges, kind, pick) ->
+      let el = Edge_list.create 10 in
+      List.iter (fun (u, v, w) -> Edge_list.add el u v w) edges;
+      let g = Wgraph.build el in
+      let rows =
+        Array.init 10 (fun u ->
+            let r = ref [] in
+            Wgraph.iter_neighbors g u (fun v w -> r := (v, w) :: !r);
+            List.rev !r)
+      in
+      let injected = inject_defect rows ~kind ~pick in
+      let xadj, adjncy, adjwgt = csr_of_rows rows in
+      let expected = reference_symmetric xadj adjncy adjwgt in
+      let accepted =
+        match Wgraph.of_csr ~n:10 ~xadj ~adjncy ~adjwgt () with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      injected = not expected && accepted = expected)
 
 let prop_normalized_sorted =
   QCheck2.Test.make
@@ -570,6 +701,7 @@ let qcheck_cases =
       prop_of_soa_edges_matches_edge_list;
       prop_metis_roundtrip;
       prop_rows_reader_matches_of_metis;
+      prop_csr_symmetry_scan_matches_reference;
       prop_relabel_preserves_structure;
     ]
 
@@ -649,7 +781,6 @@ let () =
           Alcotest.test_case "malformed parity with of_metis" `Quick
             test_rows_malformed_parity;
           Alcotest.test_case "split feed" `Quick test_rows_split_feed;
-          Alcotest.test_case "callbacks" `Quick test_rows_callbacks;
           Alcotest.test_case "to_metis_chunks bytes" `Quick
             test_to_metis_chunks_bytes;
         ] );

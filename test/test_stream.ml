@@ -206,6 +206,46 @@ let test_gp_stream_iterations_validation () =
              { (config_of Config.Stream) with Config.stream_iterations = 0 }
            g c))
 
+(* Past one chunk, the default [stream_jobs = 0] must still run the
+   sequential streamer: the chunked restreamer piles load onto one part
+   on skewed inputs (DESIGN.md §6.9), so it runs only when asked for.
+   The instance is the bench's [stream_1m] quality reference: R-MAT at
+   scale 14 (n > stream_chunk) with k = 16, rmax 4/3 of the balanced
+   load and bmax W_e / 2k, which the sequential streamer answers
+   feasibly. *)
+let test_gp_sequential_streamer_by_default () =
+  let g =
+    Rand_graph.rmat ~vw_range:(1, 8) ~ew_range:(1, 9)
+      (Random.State.make [| 0x5354; 14 |])
+      ~scale:14
+      ~m:(4 * (1 lsl 14))
+  in
+  let k = 16 in
+  let c =
+    Types.constraints ~k
+      ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
+      ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
+  in
+  check_bool "n exceeds one chunk" true
+    (Wgraph.n_nodes g > Config.default.Config.stream_chunk);
+  let seq, _ = Stream.partition g c in
+  let seq_feasible = (Metrics.goodness g c seq).Metrics.violation = 0 in
+  check_bool "sequential streamer feasible" true seq_feasible;
+  let stream = Gp.partition ~config:(config_of Config.Stream) g c in
+  check_parts "stream labels = Stream.partition" seq stream.Gp.part;
+  check_bool "stream feasible" true stream.Gp.feasible;
+  let hybrid = Gp.partition ~config:(config_of Config.Hybrid) g c in
+  check_bool "hybrid feasible" true hybrid.Gp.feasible;
+  (* An explicit width selects the chunked restreamer. *)
+  let chunked =
+    Gp.partition
+      ~config:{ (config_of Config.Stream) with Config.stream_jobs = 1 }
+      g c
+  in
+  check_parts "stream_jobs 1 = Stream_parallel.partition"
+    (fst (Stream_parallel.partition g c))
+    chunked.Gp.part
+
 (* --- Stream_parallel: chunked restreaming (DESIGN.md §6.9) --- *)
 
 module Team = Ppnpart_exec.Team
@@ -320,70 +360,6 @@ let test_chunked_workspace_reuse () =
   ignore (Stream_parallel.partition ~workspace:ws g c);
   check_int "warm runs allocate nothing" warm (Workspace.words ws)
 
-(* --- Stream_parallel.ingest: pipelined streaming ingest --- *)
-
-let test_ingest_matches_parse_then_stream () =
-  (* Unit edge weights and finite rmax make the header-estimated
-     normalizing constants exact, so the fused path must bit-match
-     parse-then-chunked. *)
-  let r = rng 9 in
-  let g =
-    Rand_graph.gnm ~vw_range:(1, 5) ~ew_range:(1, 1) r ~n:4_000 ~m:12_000
-  in
-  let k = 8 in
-  let c =
-    {
-      Types.k;
-      rmax = (Wgraph.total_node_weight g / k * 4 / 3) + 1;
-      bmax = (Wgraph.total_edge_weight g / (2 * k)) + 1;
-    }
-  in
-  let ws = Workspace.create () in
-  let unfused = Array.copy (fst (Stream_parallel.partition ~workspace:ws g c)) in
-  let text = Graph_io.to_metis g in
-  let g2, fused, _ = Stream_parallel.ingest_text ~workspace:ws c text in
-  check_bool "ingested graph equal" true (Wgraph.equal g2 g);
-  check_parts "fused labels = parse-then-chunked" unfused (Array.copy fused);
-  (* Feeding the same bytes in arbitrary pieces must not change
-     anything: the reader is cursor-based, not line-based. *)
-  let g3, fused2, _ =
-    Stream_parallel.ingest ~workspace:ws c (fun feed ->
-        let len = String.length text in
-        let pos = ref 0 in
-        while !pos < len do
-          let l = min 1009 (len - !pos) in
-          feed (String.sub text !pos l);
-          pos := !pos + l
-        done)
-  in
-  check_bool "split-feed graph equal" true (Wgraph.equal g3 g);
-  check_parts "split-feed labels identical" unfused fused2
-
-let test_ingest_rejects_malformed () =
-  (* End-of-stream validation must speak with of_metis's voice: for
-     every malformed document the fused path raises the identical
-     Failure message the batch parser does. *)
-  List.iter
-    (fun text ->
-      let expected =
-        match Graph_io.of_metis text with
-        | _ -> Alcotest.failf "of_metis accepted malformed %S" text
-        | exception Failure msg -> msg
-      in
-      Alcotest.check_raises
-        (Printf.sprintf "ingest rejects %S like of_metis" text)
-        (Failure expected)
-        (fun () ->
-          ignore
-            (Stream_parallel.ingest_text (Types.unconstrained ~k:2) text)))
-    [
-      "";
-      "2 5 000\n2\n1\n";
-      "2 1 001\n2 3\n1 4\n";
-      "3 2\n2\n1 3\n";
-      "2 1\n2\n\n";
-    ]
-
 (* --- scale smoke: the point of the whole exercise --- *)
 
 let test_stream_scale_smoke () =
@@ -428,6 +404,8 @@ let () =
             test_gp_modes_deterministic_across_jobs;
           Alcotest.test_case "stream_iterations validated" `Quick
             test_gp_stream_iterations_validation;
+          Alcotest.test_case "sequential streamer by default" `Quick
+            test_gp_sequential_streamer_by_default;
         ] );
       ( "chunked",
         [
@@ -441,13 +419,6 @@ let () =
             test_chunked_validation;
           Alcotest.test_case "workspace reuse" `Quick
             test_chunked_workspace_reuse;
-        ] );
-      ( "ingest",
-        [
-          Alcotest.test_case "matches parse-then-stream" `Quick
-            test_ingest_matches_parse_then_stream;
-          Alcotest.test_case "rejects malformed input" `Quick
-            test_ingest_rejects_malformed;
         ] );
       ( "scale",
         [ Alcotest.test_case "rmat smoke" `Slow test_stream_scale_smoke ] );
