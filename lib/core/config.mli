@@ -42,15 +42,9 @@ type t = {
           candidates, initial-partitioning restarts and matching
           strategies run concurrently on up to this many domains. [0]
           means auto ([PPNPART_JOBS] or
-          [Domain.recommended_domain_count ()]). The partition returned
-          is identical for every job count (default 1). *)
-  refine_jobs : int;
-      (** team width for deterministic parallel refinement
-          ({!Ppnpart_partition.Refine_parallel}) inside a single run.
-          [0] (the default) follows [jobs], clamped to the hardware
-          parallelism budget; an explicit positive value is honored
-          exactly. Width never affects results — the refinement waves
-          are bit-identical at every width by construction. *)
+          [Domain.recommended_domain_count ()]). Refinement and the
+          streamer always run on the calling domain. The partition
+          returned is identical for every job count (default 1). *)
   debug_checks : bool;
       (** when true, [Gp.partition] installs the [Ppnpart_check]
           validators for the duration of the run: every phase boundary
@@ -64,23 +58,6 @@ type t = {
       (** restream passes for [Stream]/[Hybrid] modes (default
           {!Ppnpart_partition.Stream.default_iterations} = 3); ignored
           by [Multilevel]. Must be ≥ 1. *)
-  stream_jobs : int;
-      (** [Stream]/[Hybrid] streamer selection. [0] (the default) runs
-          the sequential {!Ppnpart_partition.Stream} restreamer. A value
-          [N >= 1] runs the chunked parallel restreamer
-          ({!Ppnpart_partition.Stream_parallel}) on a team of [N]
-          domains: its labels are identical at every [N] (chunk
-          boundaries and commit order are functions of node index
-          alone) but are not the sequential streamer's, and on large
-          skewed inputs they can violate Rmax where the sequential
-          answer is feasible (DESIGN.md §6.9). The CLI flag is
-          [--stream-jobs]; the daemon [partition] op takes
-          ["stream_jobs"]. *)
-  stream_chunk : int;
-      (** node-index chunk size for chunked restreaming (default
-          {!Ppnpart_partition.Stream_parallel.default_chunk} = 4096).
-          Inputs with [n <= stream_chunk] use the sequential streamer
-          verbatim. Must be ≥ 1. *)
   repartition_gate : float;
       (** {!Gp.repartition} edit-ratio gate: when an edit touches more
           than this fraction of the edited graph's nodes, incremental

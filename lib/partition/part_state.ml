@@ -430,86 +430,4 @@ let best_target st conn u =
   done;
   (!best_v, !best_cut, !best_t)
 
-(* [best_target] against the cached connectivity row of [u] read in
-   place ([st.conn.(u*k + q)]) instead of a caller-filled scratch row.
-   The parallel proposal phase evaluates many nodes concurrently, so a
-   shared scratch row is unavailable and a per-evaluation blit would be
-   wasted work; everything else is line-for-line [move_deltas] /
-   [best_target]. Requires [st.cache]. *)
-let move_deltas_row st u t =
-  let c = st.c in
-  let k = c.Types.k in
-  let row = u * k in
-  let p = st.part.(u) in
-  let bmax = c.Types.bmax and rmax = c.Types.rmax in
-  let d_bw = ref 0 in
-  for q = 0 to k - 1 do
-    if q <> p && q <> t && st.conn.(row + q) <> 0 then begin
-      let cq = st.conn.(row + q) in
-      d_bw :=
-        !d_bw
-        + excess_over bmax (st.bw.(p).(q) - cq)
-        - excess_over bmax st.bw.(p).(q)
-        + excess_over bmax (st.bw.(t).(q) + cq)
-        - excess_over bmax st.bw.(t).(q)
-    end
-  done;
-  let pt = st.bw.(p).(t) in
-  let pt' = pt - st.conn.(row + t) + st.conn.(row + p) in
-  d_bw := !d_bw + excess_over bmax pt' - excess_over bmax pt;
-  let w_u = Wgraph.node_weight st.g u in
-  let d_res =
-    excess_over rmax (st.load.(p) - w_u)
-    - excess_over rmax st.load.(p)
-    + excess_over rmax (st.load.(t) + w_u)
-    - excess_over rmax st.load.(t)
-  in
-  let d_cut = st.conn.(row + p) - st.conn.(row + t) in
-  (!d_bw, d_res, d_cut)
-
-let best_target_row st u =
-  assert st.cache;
-  let k = st.c.Types.k in
-  let row = u * k in
-  let p = st.part.(u) in
-  let best_t = ref (-1) in
-  let best_v = ref max_int and best_cut = ref max_int in
-  let singleton = st.members.(p) = 1 in
-  let cur_v = if singleton then violation st else max_int in
-  let interior = st.ed.(u) = 0 in
-  let bmax = st.c.Types.bmax and rmax = st.c.Types.rmax in
-  let w_u = Wgraph.node_weight st.g u in
-  let cp = st.conn.(row + p) in
-  let d_res_p = excess_over rmax (st.load.(p) - w_u) - excess_over rmax st.load.(p) in
-  for t = 0 to k - 1 do
-    if t <> p then begin
-      let d_bw, d_res, d_cut =
-        if interior then begin
-          let pt = st.bw.(p).(t) in
-          ( excess_over bmax (pt + cp) - excess_over bmax pt,
-            d_res_p
-            + excess_over rmax (st.load.(t) + w_u)
-            - excess_over rmax st.load.(t),
-            cp )
-        end
-        else move_deltas_row st u t
-      in
-      let v =
-        Metrics.normalized_violation st.c
-          ~bw_excess:(st.bw_excess + d_bw)
-          ~res_excess:(st.res_excess + d_res)
-      in
-      let cut' = st.cut + d_cut in
-      if
-        ((not singleton) || v < cur_v)
-        && (v < !best_v || (v = !best_v && cut' < !best_cut))
-      then begin
-        best_v := v;
-        best_cut := cut';
-        best_t := t
-      end
-    end
-  done;
-  (!best_v, !best_cut, !best_t)
-
 let snapshot st = Array.copy st.part

@@ -106,12 +106,5 @@ val best_target : t -> int array -> int -> int * int * int
     O(k) fast path that is algebraically identical to the general
     O(k²) one. *)
 
-val best_target_row : t -> int -> int * int * int
-(** [best_target st conn u] with [conn] read in place from the cached
-    connectivity row of [u] — no scratch row, no blit, so many nodes
-    can be evaluated concurrently against a read-only state (the
-    parallel proposal phase). Identical results to {!best_target}
-    fed {!connectivity}. Requires [cache]. *)
-
 val snapshot : t -> int array
 (** Copy of the current partition. *)

@@ -192,68 +192,68 @@ let test_boundary_vs_legacy_refine () =
       (Random.State.int r_fast 1_000_000)
   done
 
-(* --- parallel wave refinement vs the serial refiners --- *)
+(* --- refinement on parallel domains vs the serial refiners --- *)
 
-(* Refine_parallel promises bit-identity with the serial refiner at any
-   team width: same partitions, same goodness, same rng consumption.
-   Sizes straddle the 512-node serial-fallback gate so both the
-   delegation path and the real wave path are swept; every fifth seed
-   runs under installed invariant checks, which revalidates the whole
-   state after every wave commit/rollback boundary
-   (Debug_hooks site [refine_parallel.wave]). One width-4 team and one
-   workspace serve the whole sweep — the steady state of the wave
-   scratch is reuse, not growth. *)
+(* GP's V-cycle waves run refinements concurrently on pool domains, one
+   workspace per domain; that is only sound if a refinement shares no
+   mutable state beyond its own workspace and rng. Here every instance
+   of the sweep is refined as one task of a width-4 pool, each task on
+   a fresh workspace, and the answers must be bit-identical to the
+   serial refiner and to the legacy oracle run afterwards on the main
+   domain: same partitions, same goodness, same rng consumption. Sizes
+   straddle the 512-node exact-rescue size; every fifth serial oracle
+   run is under installed invariant checks. *)
 let test_parallel_vs_serial_refine () =
   let seeds = match mode with `Quick -> 10 | `Default -> 24 | `Full -> 48 in
-  let ws = Workspace.create () in
-  let tm = Ppnpart_exec.Team.create ~width:4 in
-  Fun.protect ~finally:(fun () -> Ppnpart_exec.Team.shutdown tm)
-  @@ fun () ->
-  for seed = 1 to seeds do
-    let rng = Random.State.make [| 0xFA; seed |] in
-    let n = 2 + (157 * seed mod 1999) in
-    let k = 2 + (seed mod 15) in
-    let g, c, part0 = random_instance ~n ~k rng in
-    let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
-    let guard f = if seed mod 5 = 0 then Check.with_checks f else f () in
-    let r_par = Random.State.make [| 0xFB; seed |] in
-    let r_serial = Random.State.copy r_par in
-    let r_legacy = Random.State.copy r_par in
-    let part_par, gd_par =
-      guard (fun () ->
-          Refine_parallel.refine ~workspace:ws ~team:tm r_par g c
-            (Array.copy part0))
+  let instances =
+    Array.init seeds (fun i ->
+        let seed = i + 1 in
+        let rng = Random.State.make [| 0xFA; seed |] in
+        let n = 2 + (157 * seed mod 1999) in
+        let k = 2 + (seed mod 15) in
+        let g, c, part0 = random_instance ~n ~k rng in
+        (seed, g, c, part0))
+  in
+  let refine ?workspace ?legacy seed g c part0 =
+    let r = Random.State.make [| 0xFB; seed |] in
+    let part, gd =
+      Refine_constrained.refine ?workspace ?legacy r g c (Array.copy part0)
     in
-    let part_serial, gd_serial =
-      Refine_constrained.refine r_serial g c (Array.copy part0)
-    in
-    let part_legacy, gd_legacy =
-      guard (fun () ->
-          Refine_parallel.refine ~legacy:true r_legacy g c
-            (Array.copy part0))
-    in
-    check_bool (name ^ ": parallel = serial partitions") true
-      (part_par = part_serial);
-    check_bool (name ^ ": parallel = legacy partitions") true
-      (part_par = part_legacy);
-    check_int
-      (name ^ ": violation identical")
-      gd_serial.Metrics.violation gd_par.Metrics.violation;
-    check_int (name ^ ": cut identical") gd_serial.Metrics.cut_value
-      gd_par.Metrics.cut_value;
-    check_int
-      (name ^ ": legacy goodness identical")
-      gd_legacy.Metrics.violation gd_par.Metrics.violation;
-    let d_par = Random.State.int r_par 1_000_000 in
-    check_int
-      (name ^ ": same rng draws consumed (serial)")
-      (Random.State.int r_serial 1_000_000)
-      d_par;
-    check_int
-      (name ^ ": same rng draws consumed (legacy)")
-      (Random.State.int r_legacy 1_000_000)
-      d_par
-  done
+    (Array.copy part, gd, Random.State.int r 1_000_000)
+  in
+  let parallel =
+    Ppnpart_exec.Pool.run ~jobs:4
+      (Array.map
+         (fun (seed, g, c, part0) () ->
+           refine ~workspace:(Workspace.create ()) seed g c part0)
+         instances)
+  in
+  Array.iteri
+    (fun i (seed, g, c, part0) ->
+      let name =
+        Printf.sprintf "n=%d k=%d seed=%d" (Wgraph.n_nodes g) c.Types.k seed
+      in
+      let guard f = if seed mod 5 = 0 then Check.with_checks f else f () in
+      let part_par, gd_par, d_par = parallel.(i) in
+      let part_serial, gd_serial, d_serial = refine seed g c part0 in
+      let part_legacy, gd_legacy, d_legacy =
+        guard (fun () -> refine ~legacy:true seed g c part0)
+      in
+      check_bool (name ^ ": parallel = serial partitions") true
+        (part_par = part_serial);
+      check_bool (name ^ ": parallel = legacy partitions") true
+        (part_par = part_legacy);
+      check_int
+        (name ^ ": violation identical")
+        gd_serial.Metrics.violation gd_par.Metrics.violation;
+      check_int (name ^ ": cut identical") gd_serial.Metrics.cut_value
+        gd_par.Metrics.cut_value;
+      check_int
+        (name ^ ": legacy goodness identical")
+        gd_legacy.Metrics.violation gd_par.Metrics.violation;
+      check_int (name ^ ": same rng draws consumed (serial)") d_serial d_par;
+      check_int (name ^ ": same rng draws consumed (legacy)") d_legacy d_par)
+    instances
 
 (* --- allocation-free coarsening kernels vs the boxed-tuple oracle --- *)
 
@@ -380,71 +380,105 @@ let test_projection_preserves_labels () =
 
 (* --- streaming vs multilevel: feasibility agreement --- *)
 
-(* On planted-feasible instances (clusters with 25% constraint slack) the
-   multilevel pipeline is the quality oracle: it must find a feasible
-   partition on every one. The hybrid path — streaming seed plus
-   boundary refinement, no coarsening, no V-cycle — is documented
-   best-effort, so per instance it is held to validity and to never
-   being worse than the streaming seed it started from; across the
-   sweep it must agree with the oracle on at least 70% of instances
-   (everything is fixed-seed, so the measured rates — 3/4, 8/10,
-   18/24 — are exact; the floor leaves one instance of headroom for
-   benign scoring changes while still catching real regressions). *)
+(* The multilevel pipeline is the quality oracle: it must find a
+   feasible partition on every instance. The hybrid path — streaming
+   seed plus boundary refinement, no coarsening, no V-cycle — is
+   documented best-effort, so per instance it is held to validity and
+   to never being worse than the streaming seed it started from; across
+   each family it must agree with the oracle on at least 70% of
+   instances. Two families:
+
+   - planted-feasible clusters with 25% constraint slack (hybrid rates
+     3/4, 8/10, 18/24 at quick/default/full);
+   - skewed R-MAT (scale 10..12, k 4/8/16, vw 1..8, ew 1..9) under the
+     bench's [stream_1m] constraints — rmax 4/3 of the balanced load,
+     bmax W_e / 2k — where hub nodes load single parts and part pairs
+     (hybrid and streamer rates 4/6, 8/12, 17/24; every miss is at
+     k >= 8). Here the bare streamer is also held to a 30% floor.
+
+   Everything is fixed-seed, so the measured rates are exact. *)
 let test_stream_vs_multilevel_feasibility () =
   let module Gp = Ppnpart_core.Gp in
   let module Config = Ppnpart_core.Config in
-  let seeds = match mode with `Quick -> 4 | `Default -> 10 | `Full -> 24 in
-  let agreements = ref 0 in
-  for seed = 1 to seeds do
-    let rng = Random.State.make [| 0xFA; seed |] in
-    let n = 40 + (61 * seed mod 260) in
-    let k = 2 + (seed mod 5) in
-    let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-    let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
-    let run mode =
-      Gp.partition ~config:{ Config.default with Config.mode; jobs = 1 } g c
-    in
-    let ml = run Config.Multilevel in
-    check_bool (name ^ ": multilevel oracle feasible") true ml.Gp.feasible;
-    let hy = run Config.Hybrid in
-    Types.check_partition ~n ~k hy.Gp.part;
-    if hy.Gp.feasible then incr agreements;
-    let stream_part, _ = Stream.partition g c in
-    Types.check_partition ~n ~k stream_part;
-    let stream_gd = Metrics.goodness g c stream_part in
+  let family ~seeds instance =
+    let hybrid_ok = ref 0 and stream_ok = ref 0 in
+    for seed = 1 to seeds do
+      let g, c = instance seed in
+      let n = Wgraph.n_nodes g and k = c.Types.k in
+      let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
+      let run mode =
+        Gp.partition ~config:{ Config.default with Config.mode; jobs = 1 } g c
+      in
+      let ml = run Config.Multilevel in
+      check_bool (name ^ ": multilevel oracle feasible") true ml.Gp.feasible;
+      let hy = run Config.Hybrid in
+      Types.check_partition ~n ~k hy.Gp.part;
+      if hy.Gp.feasible then incr hybrid_ok;
+      let stream_part, _ = Stream.partition g c in
+      Types.check_partition ~n ~k stream_part;
+      let stream_gd = Metrics.goodness g c stream_part in
+      if stream_gd.Metrics.violation = 0 then incr stream_ok;
+      check_bool
+        (name ^ ": hybrid never worse than its streaming seed")
+        true
+        (Metrics.compare_goodness hy.Gp.goodness stream_gd <= 0)
+    done;
     check_bool
-      (name ^ ": hybrid never worse than its streaming seed")
+      (Printf.sprintf "hybrid agrees with the oracle on %d/%d (floor %d)"
+         !hybrid_ok seeds (seeds * 7 / 10))
       true
-      (Metrics.compare_goodness hy.Gp.goodness stream_gd <= 0)
-  done;
+      (!hybrid_ok >= seeds * 7 / 10);
+    !stream_ok
+  in
+  ignore
+    (family
+       ~seeds:(match mode with `Quick -> 4 | `Default -> 10 | `Full -> 24)
+       (fun seed ->
+         let rng = Random.State.make [| 0xFA; seed |] in
+         let n = 40 + (61 * seed mod 260) in
+         let k = 2 + (seed mod 5) in
+         Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k));
+  let rmat_seeds = match mode with `Quick -> 6 | `Default -> 12 | `Full -> 24 in
+  let stream_ok =
+    family ~seeds:rmat_seeds (fun seed ->
+        let scale = 10 + (seed mod 3) in
+        let k = [| 4; 8; 16 |].(seed / 3 mod 3) in
+        let g =
+          Ppnpart_workloads.Rand_graph.rmat ~vw_range:(1, 8) ~ew_range:(1, 9)
+            (Random.State.make [| 0x5A; seed |])
+            ~scale
+            ~m:(4 * (1 lsl scale))
+        in
+        ( g,
+          Types.constraints ~k
+            ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
+            ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1) ))
+  in
   check_bool
-    (Printf.sprintf "hybrid agrees with the oracle on %d/%d (floor %d)"
-       !agreements seeds (seeds * 7 / 10))
+    (Printf.sprintf "streamer agrees with the oracle on %d/%d (floor %d)"
+       stream_ok rmat_seeds (rmat_seeds * 3 / 10))
     true
-    (!agreements >= seeds * 7 / 10)
+    (stream_ok >= rmat_seeds * 3 / 10)
 
-(* --- chunked restreaming vs sequential vs multilevel --- *)
+(* --- chunked ingest vs sequential streaming vs multilevel --- *)
 
-(* Same contract ladder as above, one rung further out: the chunked
-   parallel restreamer (Stream_parallel, DESIGN §6.9) scores against
-   frozen pass-start state, so it is NOT bit-identical to the
-   sequential streamer once an instance spans several chunks — but it
-   must stay valid, deterministic, and its feasibility verdicts must
-   track both the sequential streamer and the multilevel oracle across
-   the sweep. A small forced chunk size keeps every instance genuinely
-   multi-chunk. Two different floors: raw single-pass streaming (no
-   refinement behind it, unlike the hybrid test above) solves fewer of
-   the planted instances than the V-cycle, so its oracle-agreement
-   floor is low (30%; measured 11/24 at default scale) — but chunked
-   and sequential see the same objective on the same visit order, so
-   their verdicts must essentially coincide (85% floor; measured
-   24/24). Fixed seeds make all rates exact. *)
+(* Same contract ladder as above, one rung further out, for graphs that
+   arrive in pieces the way the daemon's chunked upload receives them:
+   the METIS text is cut at node rows ({!Graph_io.to_metis_chunks}) and
+   each piece again at random byte offsets, and fed through
+   {!Graph_io.Rows}. The chunk-built graph must equal the original, and
+   the sequential streamer must label it bit-identically to the
+   original (and identically again on a warm workspace). Raw
+   single-pass streaming has no refinement behind it, so its
+   feasibility verdicts are held to a 30% agreement floor against the
+   multilevel oracle across the sweep (fixed seeds make the rate
+   exact). *)
 let test_chunked_vs_sequential_vs_multilevel () =
   let module Gp = Ppnpart_core.Gp in
   let module Config = Ppnpart_core.Config in
   let seeds = match mode with `Quick -> 8 | `Default -> 24 | `Full -> 48 in
   let ws = Workspace.create () in
-  let seq_agree = ref 0 and chunk_agree = ref 0 and pairwise = ref 0 in
+  let seq_agree = ref 0 in
   for seed = 1 to seeds do
     let rng = Random.State.make [| 0xC4; seed |] in
     let n = 60 + (71 * seed mod 400) in
@@ -457,37 +491,35 @@ let test_chunked_vs_sequential_vs_multilevel () =
         g c
     in
     check_bool (name ^ ": multilevel oracle feasible") true ml.Gp.feasible;
+    let rows = Graph_io.Rows.create () in
+    Graph_io.to_metis_chunks ~rows_per_chunk:(1 + (seed mod 7)) g
+      (fun piece ->
+        let len = String.length piece in
+        let pos = ref 0 in
+        while !pos < len do
+          let cut = min (len - !pos) (1 + Random.State.int rng 40) in
+          Graph_io.Rows.feed rows (String.sub piece !pos cut);
+          pos := !pos + cut
+        done);
+    let g_chunked = Graph_io.Rows.finish rows in
+    check_bool (name ^ ": chunk-built graph = original") true
+      (Wgraph.equal g g_chunked);
     let seq_part, _ = Stream.partition ~workspace:ws g c in
     let seq_part = Array.copy seq_part in
     Types.check_partition ~n ~k seq_part;
-    let chunk_part, _ =
-      Stream_parallel.partition ~workspace:ws ~chunk_size:64 g c
-    in
-    let chunk_part = Array.copy chunk_part in
-    Types.check_partition ~n ~k chunk_part;
-    (* Determinism: a rerun on the same warm workspace is bit-identical. *)
-    let again, _ = Stream_parallel.partition ~workspace:ws ~chunk_size:64 g c in
-    check_bool (name ^ ": chunked rerun identical") true (again = chunk_part);
-    let seq_ok = (Metrics.goodness g c seq_part).Metrics.violation = 0 in
-    let chunk_ok = (Metrics.goodness g c chunk_part).Metrics.violation = 0 in
-    if seq_ok then incr seq_agree;
-    if chunk_ok then incr chunk_agree;
-    if seq_ok = chunk_ok then incr pairwise
+    let chunk_part, _ = Stream.partition ~workspace:ws g_chunked c in
+    check_bool (name ^ ": chunked = sequential labels") true
+      (chunk_part = seq_part);
+    let again, _ = Stream.partition ~workspace:ws g_chunked c in
+    check_bool (name ^ ": chunked rerun identical") true (again = seq_part);
+    if (Metrics.goodness g c seq_part).Metrics.violation = 0 then
+      incr seq_agree
   done;
-  let oracle_floor = seeds * 3 / 10 and pair_floor = seeds * 17 / 20 in
+  let oracle_floor = seeds * 3 / 10 in
   check_bool
     (Printf.sprintf "sequential agrees with the oracle on %d/%d (floor %d)"
        !seq_agree seeds oracle_floor)
-    true (!seq_agree >= oracle_floor);
-  check_bool
-    (Printf.sprintf "chunked agrees with the oracle on %d/%d (floor %d)"
-       !chunk_agree seeds oracle_floor)
-    true
-    (!chunk_agree >= oracle_floor);
-  check_bool
-    (Printf.sprintf "chunked agrees with sequential on %d/%d (floor %d)"
-       !pairwise seeds pair_floor)
-    true (!pairwise >= pair_floor)
+    true (!seq_agree >= oracle_floor)
 
 (* --- incremental repartitioning vs the from-scratch oracle --- *)
 

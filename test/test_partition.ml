@@ -980,6 +980,84 @@ let test_refine_workspace_reuse () =
   let pa'', _ = run ~workspace:ws a in
   check_bool "warmed workspace reproduces the first call" true (pa = pa'')
 
+(* --- Boundary refiner on degenerate shapes, against the legacy
+   full-scan oracle --- *)
+
+(* Past the 512-node exact-rescue size, so the boundary refiner runs
+   its bucket passes only. *)
+let n_edge = 700
+
+(* Run the cached refiner and the cache-less legacy oracle from
+   identical inputs; assert bit-identical partitions, goodness and rng
+   consumption. Returns the common partition. *)
+let assert_matches_legacy name g c part0 =
+  let r_fast = Random.State.make [| 0xA1; 7 |] in
+  let r_legacy = Random.State.copy r_fast in
+  let part_fast, gd_fast =
+    Refine_constrained.refine r_fast g c (Array.copy part0)
+  in
+  let part_legacy, gd_legacy =
+    Refine_constrained.refine ~legacy:true r_legacy g c (Array.copy part0)
+  in
+  check_bool (name ^ ": partitions bit-identical") true
+    (part_fast = part_legacy);
+  check_int (name ^ ": violation") gd_legacy.Metrics.violation
+    gd_fast.Metrics.violation;
+  check_int (name ^ ": cut") gd_legacy.Metrics.cut_value
+    gd_fast.Metrics.cut_value;
+  check_int
+    (name ^ ": same rng draws consumed")
+    (Random.State.int r_legacy 1_000_000)
+    (Random.State.int r_fast 1_000_000);
+  part_fast
+
+(* k = 2: one part pair only — every move changes the single
+   bandwidth entry every other node's score reads. *)
+let test_edge_k2_single_pair () =
+  let rng = Random.State.make [| 21 |] in
+  let g, c =
+    Ppnpart_workloads.Rand_graph.random_partitionable rng ~n:n_edge ~k:2
+  in
+  let part0 = Array.init n_edge (fun u -> u * 2 / n_edge) in
+  for _ = 1 to n_edge / 50 do
+    let u = Random.State.int rng n_edge in
+    part0.(u) <- 1 - part0.(u)
+  done;
+  ignore (assert_matches_legacy "k2" g c part0)
+
+(* Alternating labels on a connected graph: every node is boundary, so
+   the active set is the whole graph. *)
+let test_edge_all_nodes_active () =
+  let rng = Random.State.make [| 22 |] in
+  let g, c =
+    Ppnpart_workloads.Rand_graph.random_partitionable rng ~n:n_edge ~k:4
+  in
+  let part0 = Array.init n_edge (fun u -> u mod 4) in
+  let st = Part_state.init g c (Array.copy part0) in
+  check_int "everything starts active" n_edge st.Part_state.n_active;
+  ignore (assert_matches_legacy "all-active" g c part0)
+
+(* Disjoint rings, each wholly inside one part, loads within Rmax: the
+   active set is empty and the partition must come back untouched. *)
+let test_edge_empty_active_set () =
+  let k = 4 in
+  let per = n_edge / k in
+  let n = per * k in
+  let edges = ref [] in
+  for comp = 0 to k - 1 do
+    let base = comp * per in
+    for i = 0 to per - 1 do
+      edges := (base + i, base + ((i + 1) mod per), 2) :: !edges
+    done
+  done;
+  let g = Wgraph.of_edges ~vwgt:(Array.make n 1) n !edges in
+  let c = Types.constraints ~k ~bmax:1 ~rmax:(per + 10) in
+  let part0 = Array.init n (fun u -> u / per) in
+  let st = Part_state.init g c (Array.copy part0) in
+  check_int "active set empty" 0 st.Part_state.n_active;
+  let refined = assert_matches_legacy "empty-active" g c part0 in
+  check_bool "partition untouched" true (refined = part0)
+
 (* --- Initial --- *)
 
 let test_pick_heaviest () =
@@ -1139,6 +1217,15 @@ let () =
             test_cache_exact_after_fm_rollback;
           Alcotest.test_case "workspace reuse across refines" `Quick
             test_refine_workspace_reuse;
+        ] );
+      ( "edge-cases",
+        [
+          Alcotest.test_case "k=2 single part-pair" `Quick
+            test_edge_k2_single_pair;
+          Alcotest.test_case "all nodes active" `Quick
+            test_edge_all_nodes_active;
+          Alcotest.test_case "empty active set" `Quick
+            test_edge_empty_active_set;
         ] );
       ( "initial",
         [

@@ -75,7 +75,7 @@ let test_protocol_parse_ok () =
   | ( _,
       Ok
         (Protocol.Partition
-           { graph = "g"; c; mode; seed = 5; jobs = 1; stream_jobs = 0 }) ) ->
+           { graph = "g"; c; mode; seed = 5; jobs = 1 }) ) ->
     check_int "k" 3 c.Types.k;
     check_int "rmax" 9 c.Types.rmax;
     check_int "bmax default" max_int c.Types.bmax;
@@ -308,6 +308,28 @@ let test_service_flow () =
   check_bool "stats counts graphs" true (field "stats" v "graphs" = Json.int 1);
   let _, verdict = ok_json "shutdown" (handle svc "{\"op\":\"shutdown\"}") in
   check_bool "shutdown verdict" true (verdict = `Shutdown)
+
+(* Unknown request fields are ignored: a client still sending the
+   partition op's retired "stream_jobs" field gets an ok frame with the
+   labels of the same request without it. *)
+let test_service_ignores_stream_jobs () =
+  let svc = Service.create () in
+  let submit =
+    Printf.sprintf "{\"op\":\"submit\",\"graph\":\"g\",\"metis\":%s}"
+      (Json.to_string (Json.Str metis_text))
+  in
+  ignore (ok_json "submit" (handle svc submit));
+  let labels extra =
+    let v, _ =
+      ok_json "partition"
+        (handle svc
+           ("{\"op\":\"partition\",\"graph\":\"g\",\"k\":2,"
+          ^ "\"mode\":\"stream\"" ^ extra ^ "}"))
+    in
+    field "partition" v "labels"
+  in
+  check_bool "same labels with and without stream_jobs" true
+    (labels ",\"stream_jobs\":4" = labels "")
 
 let test_service_errors () =
   let svc = Service.create () in
@@ -568,6 +590,8 @@ let quick_tests =
       test_pool_exceptions_reach_finish;
     Alcotest.test_case "service flow" `Quick test_service_flow;
     Alcotest.test_case "service errors" `Quick test_service_errors;
+    Alcotest.test_case "service ignores stream_jobs" `Quick
+      test_service_ignores_stream_jobs;
     Alcotest.test_case "service chunked submit" `Quick
       test_service_chunked_submit;
     Alcotest.test_case "service chunked submit errors" `Quick

@@ -206,159 +206,41 @@ let test_gp_stream_iterations_validation () =
              { (config_of Config.Stream) with Config.stream_iterations = 0 }
            g c))
 
-(* Past one chunk, the default [stream_jobs = 0] must still run the
-   sequential streamer: the chunked restreamer piles load onto one part
-   on skewed inputs (DESIGN.md §6.9), so it runs only when asked for.
-   The instance is the bench's [stream_1m] quality reference: R-MAT at
-   scale 14 (n > stream_chunk) with k = 16, rmax 4/3 of the balanced
-   load and bmax W_e / 2k, which the sequential streamer answers
-   feasibly. *)
-let test_gp_sequential_streamer_by_default () =
+(* Feasibility ladder for the streamer on the bench's [stream_1m]
+   family: R-MAT (vw 1..8, ew 1..9) at scale 14 and 17, k 8 and 16,
+   with rmax 4/3 of the balanced load and bmax W_e / 2k, which the
+   streamer answers feasibly at every rung (the 1M rung is the bench's
+   [stream_1m.violation] gate). Gp's stream mode must return exactly
+   [Stream.partition]'s labels, and both stream and hybrid must be
+   feasible. *)
+let check_streamer_rungs scale =
   let g =
     Rand_graph.rmat ~vw_range:(1, 8) ~ew_range:(1, 9)
-      (Random.State.make [| 0x5354; 14 |])
-      ~scale:14
-      ~m:(4 * (1 lsl 14))
-  in
-  let k = 16 in
-  let c =
-    Types.constraints ~k
-      ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
-      ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
-  in
-  check_bool "n exceeds one chunk" true
-    (Wgraph.n_nodes g > Config.default.Config.stream_chunk);
-  let seq, _ = Stream.partition g c in
-  let seq_feasible = (Metrics.goodness g c seq).Metrics.violation = 0 in
-  check_bool "sequential streamer feasible" true seq_feasible;
-  let stream = Gp.partition ~config:(config_of Config.Stream) g c in
-  check_parts "stream labels = Stream.partition" seq stream.Gp.part;
-  check_bool "stream feasible" true stream.Gp.feasible;
-  let hybrid = Gp.partition ~config:(config_of Config.Hybrid) g c in
-  check_bool "hybrid feasible" true hybrid.Gp.feasible;
-  (* An explicit width selects the chunked restreamer. *)
-  let chunked =
-    Gp.partition
-      ~config:{ (config_of Config.Stream) with Config.stream_jobs = 1 }
-      g c
-  in
-  check_parts "stream_jobs 1 = Stream_parallel.partition"
-    (fst (Stream_parallel.partition g c))
-    chunked.Gp.part
-
-(* --- Stream_parallel: chunked restreaming (DESIGN.md §6.9) --- *)
-
-module Team = Ppnpart_exec.Team
-
-let with_team w f =
-  let team = Team.create ~width:w in
-  Fun.protect ~finally:(fun () -> Team.shutdown team) (fun () -> f team)
-
-(* Big enough that the default chunk size (4096) yields several chunks,
-   so the frozen-state merge path actually runs. *)
-let chunked_instance seed =
-  let r = rng seed in
-  let n = 9_000 + Random.State.int r 3_000 in
-  let g = Rand_graph.gnm ~vw_range:(1, 7) ~ew_range:(1, 9) r ~n ~m:(3 * n) in
-  let k = 8 in
-  let c =
-    {
-      Types.k;
-      rmax = (Wgraph.total_node_weight g / k * 4 / 3) + 1;
-      bmax = (Wgraph.total_edge_weight g / (2 * k)) + 1;
-    }
-  in
-  (g, c)
-
-let test_chunked_width_determinism () =
-  (* The house contract: chunk boundaries and commit order depend on
-     node index alone, so the labelling is bit-identical across team
-     widths (including no team at all) and across restarts on a warm
-     workspace. *)
-  let ws = Workspace.create () in
-  let g, c = chunked_instance 21 in
-  let base, st_base = Stream_parallel.partition ~workspace:ws g c in
-  let base = Array.copy base in
-  List.iter
-    (fun w ->
-      let p, st =
-        with_team w (fun team ->
-            let p, st = Stream_parallel.partition ~workspace:ws ~team g c in
-            (Array.copy p, st))
-      in
-      check_parts (Printf.sprintf "width %d = no team" w) base p;
-      check_bool
-        (Printf.sprintf "width %d: same stats" w)
-        true
-        (st.Stream.moved = st_base.Stream.moved
-        && st.Stream.converged = st_base.Stream.converged
-        && st.Stream.iterations = st_base.Stream.iterations))
-    [ 1; 2; 4; 8 ];
-  let restart, _ = Stream_parallel.partition ~workspace:ws g c in
-  check_parts "restart identical" base (Array.copy restart);
-  let fresh, _ = Stream_parallel.partition g c in
-  check_parts "fresh-workspace restart identical" base fresh
-
-let test_chunked_oracle_at_one_chunk () =
-  (* With n <= chunk_size the whole input is one chunk, whose visibility
-     rule degenerates to the sequential pass: Stream_parallel must fall
-     back to (and bit-match) the sequential oracle. *)
-  for seed = 0 to 9 do
-    let g, c = random_instance seed in
-    let seq, s_seq = Stream.partition g c in
-    let par, s_par = Stream_parallel.partition g c in
-    check_parts (Printf.sprintf "seed %d: one chunk = oracle" seed) seq par;
-    check_int
-      (Printf.sprintf "seed %d: same iterations" seed)
-      s_seq.Stream.iterations s_par.Stream.iterations;
-    (* Explicit chunk_size >= n behaves the same as the default. *)
-    let par2, _ =
-      Stream_parallel.partition ~chunk_size:(Wgraph.n_nodes g) g c
-    in
-    check_parts (Printf.sprintf "seed %d: chunk_size = n" seed) seq par2
-  done
-
-let test_chunked_boundary_cases () =
-  (* Chunk sizes that tile n exactly, leave a short tail, or degenerate
-     to one node per chunk must all be valid and width-deterministic. *)
-  let r = rng 33 in
-  let g = Rand_graph.gnm ~vw_range:(1, 3) ~ew_range:(1, 4) r ~n:50 ~m:120 in
-  let c =
-    { Types.k = 4; rmax = (Wgraph.total_node_weight g / 3) + 1; bmax = max_int }
+      (Random.State.make [| 0x5354; scale |])
+      ~scale
+      ~m:(4 * (1 lsl scale))
   in
   List.iter
-    (fun cs ->
-      let p1 = fst (Stream_parallel.partition ~chunk_size:cs g c) in
-      Types.check_partition ~n:50 ~k:4 p1;
-      let p3 =
-        with_team 3 (fun team ->
-            Array.copy
-              (fst (Stream_parallel.partition ~chunk_size:cs ~team g c)))
+    (fun k ->
+      let c =
+        Types.constraints ~k
+          ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
+          ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
       in
-      check_parts (Printf.sprintf "chunk_size %d: width 3 = width 1" cs) p1 p3)
-    [ 1; 2; 7; 25; 49; 50 ]
+      let rung = Printf.sprintf "scale %d k %d" scale k in
+      let seq, _ = Stream.partition g c in
+      check_bool (rung ^ ": streamer feasible") true
+        ((Metrics.goodness g c seq).Metrics.violation = 0);
+      let stream = Gp.partition ~config:(config_of Config.Stream) g c in
+      check_parts (rung ^ ": stream labels = Stream.partition") seq
+        stream.Gp.part;
+      check_bool (rung ^ ": stream feasible") true stream.Gp.feasible;
+      let hybrid = Gp.partition ~config:(config_of Config.Hybrid) g c in
+      check_bool (rung ^ ": hybrid feasible") true hybrid.Gp.feasible)
+    [ 8; 16 ]
 
-let test_chunked_validation () =
-  let g, c = random_instance 0 in
-  Alcotest.check_raises "chunk_size < 1"
-    (Invalid_argument "Stream_parallel.partition: chunk_size < 1") (fun () ->
-      ignore (Stream_parallel.partition ~chunk_size:0 g c));
-  Alcotest.check_raises "max_iterations < 1"
-    (Invalid_argument "Stream_parallel.partition: max_iterations < 1")
-    (fun () -> ignore (Stream_parallel.partition ~max_iterations:0 g c))
-
-let test_chunked_workspace_reuse () =
-  (* Like the sequential streamer, two warm-up runs fill both label
-     banks plus the chunked scratch; thereafter a run allocates nothing
-     in the workspace. *)
-  let ws = Workspace.create () in
-  let g, c = chunked_instance 5 in
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  let warm = Workspace.words ws in
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  check_int "warm runs allocate nothing" warm (Workspace.words ws)
+let test_gp_sequential_streamer_by_default () =
+  List.iter check_streamer_rungs [ 14; 17 ]
 
 (* --- scale smoke: the point of the whole exercise --- *)
 
@@ -406,19 +288,6 @@ let () =
             test_gp_stream_iterations_validation;
           Alcotest.test_case "sequential streamer by default" `Quick
             test_gp_sequential_streamer_by_default;
-        ] );
-      ( "chunked",
-        [
-          Alcotest.test_case "width determinism" `Quick
-            test_chunked_width_determinism;
-          Alcotest.test_case "oracle at one chunk" `Quick
-            test_chunked_oracle_at_one_chunk;
-          Alcotest.test_case "chunk boundary cases" `Quick
-            test_chunked_boundary_cases;
-          Alcotest.test_case "parameters validated" `Quick
-            test_chunked_validation;
-          Alcotest.test_case "workspace reuse" `Quick
-            test_chunked_workspace_reuse;
         ] );
       ( "scale",
         [ Alcotest.test_case "rmat smoke" `Slow test_stream_scale_smoke ] );
