@@ -2,18 +2,6 @@ let log_src = Logs.Src.create "ppnpart.graph" ~doc:"Graph serialization and I/O"
 
 let buf_add = Buffer.add_string
 
-let to_metis g =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "%d %d 011\n" (Wgraph.n_nodes g) (Wgraph.n_edges g));
-  for u = 0 to Wgraph.n_nodes g - 1 do
-    Buffer.add_string b (string_of_int (Wgraph.node_weight g u));
-    Wgraph.iter_neighbors g u (fun v w ->
-        Buffer.add_string b (Printf.sprintf " %d %d" (v + 1) w));
-    Buffer.add_char b '\n'
-  done;
-  Buffer.contents b
-
 (* Readers promise "@raise Failure" and nothing else, but the
    constructors they finish with ([Edge_list.add], [Wgraph.build])
    signal their own checks — negative weights, mostly — with
@@ -424,23 +412,51 @@ let of_metis text =
 (* Row-aligned chunked serialization: the feeding side of the
    incremental reader. Emits the same bytes as {!to_metis}, cut at node
    row boundaries, without ever holding the whole text. *)
+(* The decimal digits of [i] appended to [b] through the 20-byte
+   [scratch] (enough for max_int), the bytes [string_of_int] gives
+   without its string per number (the unchecked writes stay inside
+   [scratch]: at most 19 digits). Graph ids and weights are never
+   negative; a negative [i] takes the allocating path. *)
+let add_int b scratch i =
+  if i < 0 then Buffer.add_string b (string_of_int i)
+  else begin
+    let p = ref 20 and x = ref i in
+    while !p = 20 || !x > 0 do
+      decr p;
+      Bytes.unsafe_set scratch !p (Char.unsafe_chr (48 + (!x mod 10)));
+      x := !x / 10
+    done;
+    Buffer.add_subbytes b scratch !p (20 - !p)
+  end
+
 let to_metis_chunks ?(rows_per_chunk = 4096) g emit =
   if rows_per_chunk < 1 then
     invalid_arg "Graph_io.to_metis_chunks: rows_per_chunk < 1";
-  let b = Buffer.create 65536 in
-  Buffer.add_string b
-    (Printf.sprintf "%d %d 011\n" (Wgraph.n_nodes g) (Wgraph.n_edges g));
-  for u = 0 to Wgraph.n_nodes g - 1 do
-    Buffer.add_string b (string_of_int (Wgraph.node_weight g u));
+  let n = Wgraph.n_nodes g in
+  let b = Buffer.create 65536 and scratch = Bytes.create 20 in
+  add_int b scratch n;
+  Buffer.add_char b ' ';
+  add_int b scratch (Wgraph.n_edges g);
+  Buffer.add_string b " 011\n";
+  for u = 0 to n - 1 do
+    add_int b scratch (Wgraph.node_weight g u);
     Wgraph.iter_neighbors g u (fun v w ->
-        Buffer.add_string b (Printf.sprintf " %d %d" (v + 1) w));
+        Buffer.add_char b ' ';
+        add_int b scratch (v + 1);
+        Buffer.add_char b ' ';
+        add_int b scratch w);
     Buffer.add_char b '\n';
-    if (u + 1) mod rows_per_chunk = 0 then begin
+    if (u + 1) mod rows_per_chunk = 0 && u + 1 < n then begin
       emit (Buffer.contents b);
       Buffer.clear b
     end
   done;
-  if Buffer.length b > 0 then emit (Buffer.contents b)
+  emit (Buffer.contents b)
+
+let to_metis g =
+  let text = ref "" in
+  to_metis_chunks ~rows_per_chunk:max_int g (fun s -> text := s);
+  !text
 
 let to_adjacency_matrix g =
   let n = Wgraph.n_nodes g in

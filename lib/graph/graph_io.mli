@@ -98,7 +98,8 @@ end
 val to_metis_chunks : ?rows_per_chunk:int -> Wgraph.t -> (string -> unit) -> unit
 (** [to_metis_chunks g emit]: {!to_metis} output delivered through
     [emit] in pieces cut at node-row boundaries ([rows_per_chunk] rows
-    per piece, default 4096), without materializing the whole text. *)
+    per piece, default 4096), without materializing the whole text. The
+    one METIS emitter: {!to_metis} is its single-piece case. *)
 
 val to_adjacency_matrix : Wgraph.t -> string
 (** Dense symmetric matrix of edge weights, one row per line, space

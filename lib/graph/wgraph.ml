@@ -6,52 +6,6 @@ type t = {
   vwgt : int array;
 }
 
-let build ?vwgt el =
-  let n = Edge_list.n_nodes el in
-  let vwgt =
-    match vwgt with
-    | None -> Array.make n 1
-    | Some w ->
-      if Array.length w <> n then
-        invalid_arg "Wgraph.build: vwgt length mismatch";
-      Array.iter
-        (fun x -> if x < 0 then invalid_arg "Wgraph.build: negative vwgt")
-        w;
-      Array.copy w
-  in
-  let edges = Edge_list.normalized el in
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v, _) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
-  let xadj = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    xadj.(i + 1) <- xadj.(i) + deg.(i)
-  done;
-  let m2 = xadj.(n) in
-  let adjncy = Array.make m2 0 in
-  let adjwgt = Array.make m2 0 in
-  let cursor = Array.sub xadj 0 n in
-  Array.iter
-    (fun (u, v, w) ->
-      adjncy.(cursor.(u)) <- v;
-      adjwgt.(cursor.(u)) <- w;
-      cursor.(u) <- cursor.(u) + 1;
-      adjncy.(cursor.(v)) <- u;
-      adjwgt.(cursor.(v)) <- w;
-      cursor.(v) <- cursor.(v) + 1)
-    edges;
-  (* Sort every adjacency slice by neighbour id so that edge_weight and
-     mem_edge can binary-search in O(log deg). Neighbour ids are unique
-     within a slice (Edge_list merges parallel edges). *)
-  for u = 0 to n - 1 do
-    Int_sort.sort_pairs adjncy adjwgt ~lo:xadj.(u)
-      ~len:(xadj.(u + 1) - xadj.(u))
-  done;
-  { n; xadj; adjncy; adjwgt; vwgt }
-
 let checked_vwgt ~who n vwgt =
   match vwgt with
   | None -> Array.make n 1
@@ -135,6 +89,14 @@ let unsafe_of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
   let vwgt = match vwgt with None -> Array.make n 1 | Some w -> w in
   { n; xadj; adjncy; adjwgt; vwgt }
 
+let of_edge_list ~vwgt el =
+  let xadj, adjncy, adjwgt = Edge_list.to_csr el in
+  { n = Edge_list.n_nodes el; xadj; adjncy; adjwgt; vwgt }
+
+let build ?vwgt el =
+  let vwgt = checked_vwgt ~who:"Wgraph.build" (Edge_list.n_nodes el) vwgt in
+  of_edge_list ~vwgt el
+
 let of_soa_edges ?vwgt n ~src ~dst ~wgt =
   let fail fmt =
     Format.kasprintf invalid_arg ("Wgraph.of_soa_edges: " ^^ fmt)
@@ -144,64 +106,16 @@ let of_soa_edges ?vwgt n ~src ~dst ~wgt =
   if Array.length dst <> m || Array.length wgt <> m then
     fail "src/dst/wgt length mismatch";
   let vwgt = checked_vwgt ~who:"Wgraph.of_soa_edges" n vwgt in
-  let deg = Array.make (max n 1) 0 in
   for e = 0 to m - 1 do
     let u = src.(e) and v = dst.(e) in
     if u < 0 || u >= n then fail "src node out of range at edge %d" e;
     if v < 0 || v >= n then fail "dst node out of range at edge %d" e;
-    if wgt.(e) < 0 then fail "negative weight at edge %d" e;
-    if u <> v then begin
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1
-    end
+    if wgt.(e) < 0 then fail "negative weight at edge %d" e
   done;
-  let xadj = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    xadj.(i + 1) <- xadj.(i) + deg.(i)
-  done;
-  let m2 = xadj.(n) in
-  let adjncy = Array.make m2 0 in
-  let adjwgt = Array.make m2 0 in
-  let cursor = Array.sub xadj 0 (max n 1) in
-  for e = 0 to m - 1 do
-    let u = src.(e) and v = dst.(e) in
-    if u <> v then begin
-      adjncy.(cursor.(u)) <- v;
-      adjwgt.(cursor.(u)) <- wgt.(e);
-      cursor.(u) <- cursor.(u) + 1;
-      adjncy.(cursor.(v)) <- u;
-      adjwgt.(cursor.(v)) <- wgt.(e);
-      cursor.(v) <- cursor.(v) + 1
-    end
-  done;
-  (* Sort each slice, merge parallel edges by weight addition, and
-     compact left; the write pointer never overtakes the read pointer. *)
-  let wp = ref 0 in
-  let out_xadj = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    let lo = xadj.(u) and hi = xadj.(u + 1) in
-    Int_sort.sort_pairs adjncy adjwgt ~lo ~len:(hi - lo);
-    let i = ref lo in
-    while !i < hi do
-      let v = adjncy.(!i) in
-      let acc = ref adjwgt.(!i) in
-      incr i;
-      while !i < hi && adjncy.(!i) = v do
-        acc := !acc + adjwgt.(!i);
-        incr i
-      done;
-      adjncy.(!wp) <- v;
-      adjwgt.(!wp) <- !acc;
-      incr wp
-    done;
-    out_xadj.(u + 1) <- !wp
-  done;
-  let adjncy = if !wp = m2 then adjncy else Array.sub adjncy 0 !wp in
-  let adjwgt = if !wp = m2 then adjwgt else Array.sub adjwgt 0 !wp in
-  { n; xadj = out_xadj; adjncy; adjwgt; vwgt }
+  of_edge_list ~vwgt (Edge_list.unsafe_of_soa n ~src ~dst ~wgt)
 
 let of_edges ?vwgt n edges =
-  let el = Edge_list.create n in
+  let el = Edge_list.create ~expected_edges:(List.length edges) n in
   Edge_list.add_all el edges;
   build ?vwgt el
 
@@ -330,7 +244,7 @@ let relabel g perm =
         invalid_arg "Wgraph.relabel: not a permutation";
       seen.(p) <- true)
     perm;
-  let el = Edge_list.create g.n in
+  let el = Edge_list.create ~expected_edges:(n_edges g) g.n in
   iter_edges g (fun u v w -> Edge_list.add el perm.(u) perm.(v) w);
   let vwgt = Array.make g.n 0 in
   Array.iteri (fun u p -> vwgt.(p) <- g.vwgt.(u)) perm;

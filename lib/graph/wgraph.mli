@@ -20,8 +20,8 @@ type t = private {
 }
 
 val build : ?vwgt:int array -> Edge_list.t -> t
-(** [build ~vwgt edges] constructs the CSR graph from a normalized edge list.
-    [vwgt] defaults to all-ones.
+(** [build ~vwgt edges] constructs the CSR graph from the edge list,
+    normalized by {!Edge_list.to_csr}. [vwgt] defaults to all-ones.
     @raise Invalid_argument if [vwgt] has the wrong length or a negative
     entry. *)
 
@@ -65,10 +65,10 @@ val of_soa_edges :
   ?vwgt:int array -> int -> src:int array -> dst:int array -> wgt:int array -> t
 (** [of_soa_edges n ~src ~dst ~wgt] bulk-builds the graph from one
     undirected edge per index of the three parallel arrays, with
-    {!Edge_list}'s normalization semantics — parallel edges (either
-    orientation) merge by weight addition, self loops are dropped — but
-    without materializing a single tuple: counting sort into CSR, then an
-    in-place int-key sort and merge per adjacency slice.
+    {!Edge_list}'s normalization — parallel edges (either orientation)
+    merge by weight addition, self loops are dropped. The arrays are
+    read in place, not copied, and go through the same {!Edge_list.to_csr} as
+    {!build}.
     @raise Invalid_argument on length mismatch, out-of-range node or
     negative weight. *)
 

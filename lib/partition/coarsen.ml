@@ -27,7 +27,7 @@ let coarse_map g partner =
 
 let contract_legacy g partner =
   let n', cmap, vwgt = coarse_map g partner in
-  let el = Edge_list.create n' in
+  let el = Edge_list.create ~expected_edges:(Wgraph.n_edges g) n' in
   Wgraph.iter_edges g (fun u v w ->
       (* Self loops in the coarse graph (intra-pair edges) are dropped by
          Edge_list; parallel edges are merged by weight addition. *)

@@ -29,8 +29,8 @@ let err fmt = Printf.ksprintf (fun msg -> raise (Invalid_edit msg)) fmt
    to apply and O(n + m) integer work to rebuild, instead of
    re-hashing the whole graph. Every op — including [Remove_node] —
    costs O(degree), not O(m). Hash iteration order never reaches the
-   result: [Wgraph.build] sorts each adjacency slice, so the output is
-   a pure function of the edit batch. *)
+   result: [apply] sorts each materialized slice, so the output is a
+   pure function of the edit batch. *)
 type builder = {
   g : Wgraph.t;  (* adjacency source for unmaterialized rows *)
   n0 : int;  (* original node count: handles >= n0 were added *)
@@ -199,30 +199,42 @@ let apply g ops =
       vwgt.(u') <- b.weight.(u)
     end
   done;
-  let el = Edge_list.create n' in
-  let has_row = Array.make b.next false in
-  Hashtbl.iter (fun u _ -> has_row.(u) <- true) b.adj;
-  (* Rows no op modified come straight from the base CSR; an edge is
-     emitted there only when both endpoints are unmaterialized (if
-     either end has a row, that row owns the edge's current state). *)
-  for u = 0 to b.n0 - 1 do
-    if b.alive.(u) && not has_row.(u) then
-      Wgraph.iter_neighbors b.g u (fun v w ->
-          if u < v && not has_row.(v) then
-            Edge_list.add el new_id.(u) new_id.(v) w)
+  (* Assemble the edited CSR directly, row by row in new-id order. A
+     row no op modified is its base slice, exact by the argument in
+     [row], renamed through [new_id]; that map is monotone, so the
+     renamed slice stays ascending. A materialized row is dumped from
+     its hash and sorted. A node the batch added without neighbours has
+     neither, and gets an empty slice. *)
+  let degree u =
+    match Hashtbl.find_opt b.adj u with
+    | Some r -> Hashtbl.length r
+    | None -> if u < b.n0 then Wgraph.degree b.g u else 0
+  in
+  let xadj = Array.make (n' + 1) 0 in
+  for u = 0 to b.next - 1 do
+    let u' = new_id.(u) in
+    if u' >= 0 then xadj.(u' + 1) <- xadj.(u') + degree u
   done;
-  (* Materialized rows: emit an edge from the lower-handle side when
-     both ends have rows, and unconditionally when the other end does
-     not (then this row is the edge's only appearance). *)
-  Hashtbl.iter
-    (fun u r ->
-      Hashtbl.iter
-        (fun v w ->
-          if (not has_row.(v)) || u < v then
-            Edge_list.add el new_id.(u) new_id.(v) w)
-        r)
-    b.adj;
-  let g' = Wgraph.build ~vwgt el in
+  let adjncy = Array.make xadj.(n') 0 in
+  let adjwgt = Array.make xadj.(n') 0 in
+  for u = 0 to b.next - 1 do
+    let u' = new_id.(u) in
+    if u' >= 0 then begin
+      let lo = xadj.(u') in
+      let p = ref lo in
+      let put v w =
+        adjncy.(!p) <- new_id.(v);
+        adjwgt.(!p) <- w;
+        incr p
+      in
+      match Hashtbl.find_opt b.adj u with
+      | Some r ->
+        Hashtbl.iter put r;
+        Int_sort.sort_pairs adjncy adjwgt ~lo ~len:(!p - lo)
+      | None -> if u < b.n0 then Wgraph.iter_neighbors b.g u put
+    end
+  done;
+  let g' = Wgraph.of_csr ~vwgt ~n:n' ~xadj ~adjncy ~adjwgt () in
   ( g',
     node_map,
     {

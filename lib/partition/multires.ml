@@ -206,7 +206,7 @@ let partition ~solver ?(seed = 0) g c rvec =
     invalid_arg "Multires.partition: requirement matrix length mismatch";
   let vwgt, rmax_scalar = scalarize c rvec in
   (* Rebuild the graph with the scalarized node weights. *)
-  let el = Edge_list.create n in
+  let el = Edge_list.create ~expected_edges:(Wgraph.n_edges g) n in
   Wgraph.iter_edges g (fun u v w -> Edge_list.add el u v w);
   let scalar_g = Wgraph.build ~vwgt el in
   let scalar_c = Types.constraints ~k:c.k ~bmax:c.bmax ~rmax:rmax_scalar in

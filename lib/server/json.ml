@@ -218,9 +218,13 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* Integral numbers within ±2^53 print as the OCaml int they are exact
+   in, the bytes [%.0f] would give, without a Printf call per label;
+   [-0.] keeps its sign as [%.0f] does. *)
 let add_num b f =
   if Float.is_integer f && Float.abs f <= 2. ** 53. then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
+    if f = 0. && Float.sign_bit f then Buffer.add_string b "-0"
+    else Buffer.add_string b (string_of_int (int_of_float f))
   else Buffer.add_string b (Printf.sprintf "%.12g" f)
 
 let to_string v =

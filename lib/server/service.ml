@@ -14,7 +14,8 @@ type entry = {
   mutable labels : int array option;
   mutable c : Types.constraints option;
   mutable config : Config.t option;
-  mutable report : string option;
+  mutable report : string Lazy.t option;
+      (** rendered on the first [report] request, under [elock] *)
 }
 
 (* An in-progress chunked submission ([submit-begin] .. [submit-end]):
@@ -143,10 +144,12 @@ let do_partition t ~id ~graph ~c ~mode ~seed ~jobs =
         e.labels <- Some r.Gp.part;
         e.c <- Some c;
         e.config <- Some config;
+        let g = e.graph in
         e.report <-
           Some
-            (Run_report.of_result ~algo:("gp-" ^ Config.mode_name mode)
-               e.graph c r);
+            (lazy
+              (Run_report.of_result ~algo:("gp-" ^ Config.mode_name mode) g
+                 c r));
         Ok
           (Protocol.ok ?id
              (("graph", Json.Str graph) :: result_fields r)))
@@ -170,11 +173,12 @@ let do_repartition t ~id ~graph ~edits ~workspace =
           e.labels <- Some rp.Gp.rp_result.Gp.part;
           e.report <-
             Some
-              (Run_report.of_result
-                 ~algo:
-                   (if rp.Gp.rp_incremental then "gp-incremental"
-                    else "gp-scratch")
-                 rp.Gp.rp_graph c rp.Gp.rp_result);
+              (lazy
+                (Run_report.of_result
+                   ~algo:
+                     (if rp.Gp.rp_incremental then "gp-incremental"
+                      else "gp-scratch")
+                   rp.Gp.rp_graph c rp.Gp.rp_result));
           Ok
             (Protocol.ok ?id
                (("graph", Json.Str graph)
@@ -202,7 +206,7 @@ let do_report t ~id ~graph =
           Ok
             (Protocol.ok_with_raw ?id
                [ ("graph", Json.Str graph) ]
-               ("report", report)))
+               ("report", Lazy.force report)))
 
 let stats t =
   with_lock t.lock (fun () ->

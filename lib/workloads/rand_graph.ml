@@ -13,7 +13,7 @@ let gnm ?(connected = true) ?(vw_range = (1, 1)) ?(ew_range = (1, 1)) rng ~n
   if m > max_m then invalid_arg "Rand_graph.gnm: too many edges";
   if connected && m < n - 1 then
     invalid_arg "Rand_graph.gnm: too few edges for a connected graph";
-  let el = Edge_list.create n in
+  let el = Edge_list.create ~expected_edges:m n in
   let present = Hashtbl.create (2 * m) in
   let add u v =
     let key = (min u v, max u v) in

@@ -472,6 +472,35 @@ let test_to_metis_chunks_bytes () =
         whole (Buffer.contents b))
     [ 1; 2; 1000 ]
 
+(* A Printf emitter, one sprintf per adjacency entry: the byte
+   reference for [to_metis]. *)
+let printf_to_metis g =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    (Printf.sprintf "%d %d 011\n" (Wgraph.n_nodes g) (Wgraph.n_edges g));
+  for u = 0 to Wgraph.n_nodes g - 1 do
+    Buffer.add_string b (string_of_int (Wgraph.node_weight g u));
+    Wgraph.iter_neighbors g u (fun v w ->
+        Buffer.add_string b (Printf.sprintf " %d %d" (v + 1) w));
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+let test_to_metis_printf_bytes () =
+  let r = Random.State.make [| 0x3E7 |] in
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check string) name (printf_to_metis g) (Graph_io.to_metis g))
+    [ ("sample", sample ());
+      ("empty", Wgraph.of_edges 0 []);
+      ("edgeless", Wgraph.of_edges ~vwgt:[| 0; 7; 1_000_000 |] 3 []);
+      ( "zero and large weights",
+        Wgraph.of_edges 4
+          [ (0, 3, 0); (1, 2, max_int); (2, 3, 9); (0, 1, 10) ] );
+      ( "random",
+        Ppnpart_workloads.Rand_graph.gnm ~connected:false ~vw_range:(0, 99)
+          ~ew_range:(0, 999) r ~n:300 ~m:900 ) ]
+
 (* --- qcheck properties --- *)
 
 let arbitrary_edges n max_w =
@@ -679,6 +708,27 @@ let prop_of_soa_edges_matches_edge_list =
       && a.Wgraph.adjwgt = b.Wgraph.adjwgt
       && a.Wgraph.vwgt = b.Wgraph.vwgt)
 
+(* A tuple-sort normalizer sharing no code with [Edge_list.to_csr]:
+   the oracle for it. *)
+let reference_normalized edges =
+  let canon (u, v, w) = if u <= v then (u, v, w) else (v, u, w) in
+  let sorted = List.sort compare (List.map canon edges) in
+  let rec merge acc = function
+    | (u, v, w) :: (u', v', w') :: rest when u = u' && v = v' ->
+      merge acc ((u, v, w + w') :: rest)
+    | (u, v, w) :: rest -> merge (if u <> v then (u, v, w) :: acc else acc) rest
+    | [] -> List.rev acc
+  in
+  Array.of_list (merge [] sorted)
+
+let prop_normalized_matches_reference =
+  QCheck2.Test.make ~name:"normalized = tuple-sort reference" ~count:300
+    (arbitrary_edges 12 9)
+    (fun edges ->
+      let el = Edge_list.create ~expected_edges:1 12 in
+      Edge_list.add_all el edges;
+      Edge_list.normalized el = reference_normalized edges)
+
 let prop_relabel_preserves_structure =
   QCheck2.Test.make ~name:"relabel by reversal preserves totals" ~count:100
     (arbitrary_edges 9 5)
@@ -698,6 +748,7 @@ let qcheck_cases =
       prop_build_valid;
       prop_total_edge_weight_matches_list;
       prop_normalized_sorted;
+      prop_normalized_matches_reference;
       prop_of_soa_edges_matches_edge_list;
       prop_metis_roundtrip;
       prop_rows_reader_matches_of_metis;
@@ -783,6 +834,8 @@ let () =
           Alcotest.test_case "split feed" `Quick test_rows_split_feed;
           Alcotest.test_case "to_metis_chunks bytes" `Quick
             test_to_metis_chunks_bytes;
+          Alcotest.test_case "to_metis = Printf emitter bytes" `Quick
+            test_to_metis_printf_bytes;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -1,5 +1,6 @@
 (* Tests for the partitioning infrastructure: Types, Metrics, Bucket,
-   Matching, Coarsen, Fm2, Refine_kway, Refine_constrained, Initial. *)
+   Matching, Coarsen, Fm2, Refine_kway, Refine_constrained, Initial,
+   Graph_edit. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -1094,6 +1095,179 @@ let test_greedy_growth_empty_graph () =
   check_int "empty" 0
     (Array.length (Initial.greedy_resource_growth (rng ()) g c))
 
+(* --- Graph_edit --- *)
+
+(* Reference model of an edit batch: node handles with weights and an
+   explicit map from unordered handle pairs to edge weights. Ops are
+   drawn from the model's current state, so every batch is valid, and
+   the model rebuilds the expected graph with [Wgraph.of_edges] — no
+   code shared with [Graph_edit.apply]'s direct CSR assembly. *)
+type edit_model = {
+  mutable weights : int array;  (* handle -> weight, -1 = removed *)
+  mutable orig : int array;  (* handle -> original id, -1 = added *)
+  emap : (int * int, int) Hashtbl.t;  (* (lo, hi) handle pair -> weight *)
+  mtouched : (int, unit) Hashtbl.t;
+}
+
+let model_key u v = (min u v, max u v)
+let model_alive m =
+  List.filter
+    (fun u -> m.weights.(u) >= 0)
+    (List.init (Array.length m.weights) Fun.id)
+let model_touch m u = Hashtbl.replace m.mtouched u ()
+
+let model_pick r = function
+  | [] -> None
+  | xs -> Some (List.nth xs (Random.State.int r (List.length xs)))
+
+(* One op valid in the model's state (or [None] when its kind has no
+   valid instance), applied to the model. *)
+let model_op r m kind =
+  let alive = model_alive m in
+  let edges = Hashtbl.fold (fun k _ acc -> k :: acc) m.emap [] in
+  let edges = List.sort compare edges in
+  match kind with
+  | `Add_node neighbors ->
+    let u = Array.length m.weights in
+    let neighbors =
+      if not neighbors then []
+      else
+        List.filter (fun _ -> Random.State.int r 3 = 0) alive
+        |> List.map (fun v -> (v, Random.State.int r 9))
+    in
+    m.weights <- Array.append m.weights [| Random.State.int r 9 |];
+    m.orig <- Array.append m.orig [| -1 |];
+    model_touch m u;
+    List.iter
+      (fun (v, w) ->
+        Hashtbl.replace m.emap (model_key u v) w;
+        model_touch m v)
+      neighbors;
+    Some (Graph_edit.Add_node { weight = m.weights.(u); neighbors })
+  | `Remove_node ->
+    Option.map
+      (fun u ->
+        m.weights.(u) <- -1;
+        model_touch m u;
+        List.iter
+          (fun (a, b) ->
+            if a = u || b = u then begin
+              Hashtbl.remove m.emap (a, b);
+              model_touch m (if a = u then b else a)
+            end)
+          edges;
+        Graph_edit.Remove_node u)
+      (model_pick r alive)
+  | `Add_edge ->
+    let free =
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun v ->
+              if u < v && not (Hashtbl.mem m.emap (u, v)) then Some (u, v)
+              else None)
+            alive)
+        alive
+    in
+    Option.map
+      (fun (u, v) ->
+        let w = Random.State.int r 9 in
+        Hashtbl.replace m.emap (u, v) w;
+        model_touch m u;
+        model_touch m v;
+        if Random.State.bool r then Graph_edit.Add_edge (u, v, w)
+        else Graph_edit.Add_edge (v, u, w))
+      (model_pick r free)
+  | `Remove_edge ->
+    Option.map
+      (fun (u, v) ->
+        Hashtbl.remove m.emap (u, v);
+        model_touch m u;
+        model_touch m v;
+        Graph_edit.Remove_edge (v, u))
+      (model_pick r edges)
+  | `Set_node_weight ->
+    Option.map
+      (fun u ->
+        let w = Random.State.int r 9 in
+        m.weights.(u) <- w;
+        model_touch m u;
+        Graph_edit.Set_node_weight (u, w))
+      (model_pick r alive)
+  | `Set_edge_weight ->
+    Option.map
+      (fun (u, v) ->
+        let w = Random.State.int r 9 in
+        Hashtbl.replace m.emap (u, v) w;
+        model_touch m u;
+        model_touch m v;
+        Graph_edit.Set_edge_weight (u, v, w))
+      (model_pick r edges)
+
+let prop_graph_edit_matches_reference =
+  QCheck2.Test.make ~name:"Graph_edit.apply = reference rebuild" ~count:300
+    QCheck2.Gen.(pair (int_range 0 14) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let r = Random.State.make [| 0x6E; n; seed |] in
+      let edges =
+        List.init (2 * n) (fun _ ->
+            let u = Random.State.int r (max n 1)
+            and v = Random.State.int r (max n 1) in
+            (u, v, Random.State.int r 9))
+        |> List.filter (fun (u, v, _) -> u <> v)
+      in
+      let vwgt = Array.init n (fun _ -> Random.State.int r 9) in
+      let g = Wgraph.of_edges ~vwgt n edges in
+      let m =
+        {
+          weights = Array.copy vwgt;
+          orig = Array.init n Fun.id;
+          emap = Hashtbl.create 16;
+          mtouched = Hashtbl.create 16;
+        }
+      in
+      Wgraph.iter_edges g (fun u v w -> Hashtbl.replace m.emap (u, v) w);
+      let kinds =
+        [| `Add_node true; `Remove_node; `Add_edge; `Remove_edge;
+           `Set_node_weight; `Set_edge_weight |]
+      in
+      let n_ops = 1 + Random.State.int r 10 in
+      let isolated_at = Random.State.int r n_ops in
+      let ops =
+        List.concat
+          (List.init n_ops (fun i ->
+               let kind =
+                 if i = isolated_at then `Add_node false
+                 else kinds.(Random.State.int r (Array.length kinds))
+               in
+               Option.to_list (model_op r m kind)))
+      in
+      let g', node_map, stats = Graph_edit.apply g ops in
+      let handles = model_alive m in
+      let new_id = Array.make (Array.length m.weights) (-1) in
+      List.iteri (fun i u -> new_id.(u) <- i) handles;
+      let ref_edges =
+        Hashtbl.fold
+          (fun (u, v) w acc -> (new_id.(u), new_id.(v), w) :: acc)
+          m.emap []
+      in
+      let ref_g =
+        Wgraph.of_edges
+          ~vwgt:(Array.of_list (List.map (fun u -> m.weights.(u)) handles))
+          (List.length handles) ref_edges
+      in
+      let count p = List.length (List.filter p ops) in
+      Wgraph.equal g' ref_g
+      && node_map = Array.of_list (List.map (fun u -> m.orig.(u)) handles)
+      && stats
+         = {
+             Graph_edit.added_nodes =
+               count (function Graph_edit.Add_node _ -> true | _ -> false);
+             removed_nodes =
+               count (function Graph_edit.Remove_node _ -> true | _ -> false);
+             touched = Hashtbl.length m.mtouched;
+           })
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1103,6 +1277,7 @@ let qcheck_cases =
       prop_refine_fm_quality_at_least_greedy;
       prop_constrained_goodness_monotone;
       prop_constrained_incremental_state_consistent;
+      prop_graph_edit_matches_reference;
     ]
 
 let () =

@@ -52,7 +52,38 @@ let test_json_numbers () =
   | Ok (Json.Num f) -> check_int "big int survives" 1073741824 (int_of_float f)
   | _ -> Alcotest.fail "1073741824 did not parse as Num");
   check_string "int prints without dot" "42" (Json.to_string (Json.int 42));
-  check_string "negative int" "-7" (Json.to_string (Json.int (-7)))
+  check_string "negative int" "-7" (Json.to_string (Json.int (-7)));
+  (* The printer's number bytes are the reply bytes: integral numbers
+     in ±2^53 print as Printf's [%.0f] would (including the sign of a
+     parsed [-0]), everything else as [%.12g]. *)
+  let same name printf f =
+    check_string name (Printf.sprintf printf f) (Json.to_string (Json.Num f))
+  in
+  let r = Random.State.make [| 0x15 |] in
+  let two53 = 1 lsl 53 in
+  for _ = 1 to 2000 do
+    let i = Random.State.full_int r two53 in
+    let i = if Random.State.bool r then -i else i in
+    same (string_of_int i) "%.0f" (float_of_int i)
+  done;
+  List.iter
+    (fun f -> same (Printf.sprintf "%h" f) "%.0f" f)
+    [ 0.; Float.of_int two53; -.Float.of_int two53;
+      Float.of_int max_int /. 2048. ];
+  (match Json.parse "-0" with
+  | Ok (Json.Num f) ->
+    check_bool "parsed -0 keeps its sign" true (Float.sign_bit f);
+    same "parsed -0" "%.0f" f;
+    check_string "-0 bytes" "-0" (Json.to_string (Json.Num f))
+  | _ -> Alcotest.fail "-0 did not parse as Num");
+  List.iter
+    (fun f -> same (Printf.sprintf "%h" f) "%.12g" f)
+    [ 3.5; -0.1; 1e-300; 1e300; 2. ** 53. +. 2.; -.(2. ** 60.); 1. /. 3.;
+      Float.pi *. 1e20 ];
+  for _ = 1 to 200 do
+    let f = Random.State.float r 1e6 -. 5e5 in
+    if not (Float.is_integer f) then same (Printf.sprintf "%h" f) "%.12g" f
+  done
 
 let test_json_string_escapes () =
   match Json.parse "\"tab\\tnl\\nu\\u0041\"" with
@@ -331,6 +362,79 @@ let test_service_ignores_stream_jobs () =
   check_bool "same labels with and without stream_jobs" true
     (labels ",\"stream_jobs\":4" = labels "")
 
+(* The stored run report is rendered only when [report] asks for it,
+   and then describes the last labelling: after a partition and two
+   repartitions it is [Run_report.of_result] on the second
+   repartition's graph and result. *)
+let test_service_lazy_report () =
+  let g0 =
+    Wgraph.of_edges 64
+      (List.concat
+         (List.init 64 (fun u ->
+              (if u mod 8 < 7 then [ (u, u + 1, 1 + (u mod 3)) ] else [])
+              @ if u < 56 then [ (u, u + 8, 1) ] else [])))
+  in
+  let svc = Service.create () in
+  ignore
+    (ok_json "submit"
+       (handle svc
+          (Printf.sprintf "{\"op\":\"submit\",\"graph\":\"g\",\"metis\":%s}"
+             (Json.to_string (Json.Str (Graph_io.to_metis g0))))));
+  let c = Types.constraints ~k:4 ~bmax:40 ~rmax:20 in
+  let labels name v =
+    match field name v "labels" with
+    | Json.Arr xs ->
+      Array.of_list
+        (List.map (fun x -> Option.get (Json.to_int x)) xs)
+    | _ -> Alcotest.failf "%s: labels not an array" name
+  in
+  let v, _ =
+    ok_json "partition"
+      (handle svc
+         "{\"op\":\"partition\",\"graph\":\"g\",\"k\":4,\"bmax\":40,\"rmax\":20}")
+  in
+  let prev = ref (labels "partition" v) and g = ref g0 in
+  let last = ref None in
+  List.iter
+    (fun (edits, ops) ->
+      let v, _ =
+        ok_json "repartition"
+          (handle svc
+             ("{\"op\":\"repartition\",\"graph\":\"g\",\"edits\":" ^ edits
+            ^ "}"))
+      in
+      let rp =
+        Ppnpart_core.Gp.repartition ~config:Config.default ~prev:!prev !g c
+          ops
+      in
+      check_bool "incremental" true rp.Ppnpart_core.Gp.rp_incremental;
+      check_bool "reply labels = in-process repartition" true
+        (labels "repartition" v = rp.Ppnpart_core.Gp.rp_result.part);
+      prev := labels "repartition" v;
+      g := rp.Ppnpart_core.Gp.rp_graph;
+      last := Some rp)
+    [ ( "[{\"op\":\"set_node_weight\",\"node\":5,\"w\":3}]",
+        [ Graph_edit.Set_node_weight (5, 3) ] );
+      ( "[{\"op\":\"add_edge\",\"u\":0,\"v\":63,\"w\":2}]",
+        [ Graph_edit.Add_edge (0, 63, 2) ] ) ];
+  let rp = Option.get !last in
+  let v, _ = ok_json "report" (handle svc "{\"op\":\"report\",\"graph\":\"g\"}") in
+  let report = field "report" v "report" in
+  (* Wall time is the one field an in-process rerun cannot reproduce;
+     take it from the served report. *)
+  let runtime_s =
+    match Json.member "runtime_s" report with
+    | Some (Json.Num t) -> t
+    | _ -> Alcotest.fail "report without runtime_s"
+  in
+  let expected =
+    Ppnpart_core.Run_report.of_result ~algo:"gp-incremental"
+      rp.Ppnpart_core.Gp.rp_graph c
+      { rp.Ppnpart_core.Gp.rp_result with runtime_s }
+  in
+  check_bool "report = of_result on the last repartition" true
+    (Json.parse expected = Ok report)
+
 let test_service_errors () =
   let svc = Service.create () in
   let msg = err_json "parse" (handle svc "not json at all") in
@@ -590,6 +694,7 @@ let quick_tests =
       test_pool_exceptions_reach_finish;
     Alcotest.test_case "service flow" `Quick test_service_flow;
     Alcotest.test_case "service errors" `Quick test_service_errors;
+    Alcotest.test_case "service lazy report" `Quick test_service_lazy_report;
     Alcotest.test_case "service ignores stream_jobs" `Quick
       test_service_ignores_stream_jobs;
     Alcotest.test_case "service chunked submit" `Quick
