@@ -3,7 +3,10 @@
    schema.
 
    usage: compare.exe [--rules smoke|partition] BASELINE CURRENT
-          compare.exe --parse-only FILE
+          compare.exe --parse-only FILE...
+
+   --parse-only strict-parses each FILE: a .jsonl file line by line (the
+   bench history), anything else as one document.
 
    exit 0 — no rule regressed (skipped rows are fine);
    exit 1 — at least one rule regressed;
@@ -11,6 +14,7 @@
             schema, bad usage. *)
 
 module C = Ppnpart_bench_compare.Compare_core
+module Json = Ppnpart_obs.Json
 
 let read_file path =
   try
@@ -25,18 +29,41 @@ let die msg =
   Printf.eprintf "compare: %s\n" msg;
   exit 2
 
+let parse_or_die where text =
+  match Json.parse text with
+  | Ok j -> j
+  | Error msg -> die (Printf.sprintf "%s: %s" where msg)
+
 let load path =
   match read_file path with
   | Error msg -> die msg
-  | Ok text -> (
-    match C.parse text with
-    | Ok j -> j
-    | Error msg -> die (Printf.sprintf "%s: %s" path msg))
+  | Ok text -> parse_or_die path text
+
+let parse_only path =
+  if Filename.check_suffix path ".jsonl" then begin
+    let lines =
+      match read_file path with
+      | Error msg -> die msg
+      | Ok text -> String.split_on_char '\n' text
+    in
+    let parsed = ref 0 in
+    List.iteri
+      (fun i line ->
+        if String.trim line <> "" then begin
+          ignore (parse_or_die (Printf.sprintf "%s:%d" path (i + 1)) line);
+          incr parsed
+        end)
+      lines;
+    Printf.printf "parsed %s (%d lines)\n" path !parsed
+  end
+  else
+    let schema = Option.value ~default:"?" (C.schema_of (load path)) in
+    Printf.printf "parsed %s (schema %s)\n" path schema
 
 let usage () =
   prerr_endline
     "usage: compare.exe [--rules smoke|partition] BASELINE CURRENT\n\
-    \       compare.exe --parse-only FILE";
+    \       compare.exe --parse-only FILE...";
   exit 2
 
 let status_tag = function
@@ -46,10 +73,7 @@ let status_tag = function
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _; "--parse-only"; path ] ->
-    let j = load path in
-    let schema = Option.value ~default:"?" (C.schema_of j) in
-    Printf.printf "parsed %s (schema %s)\n" path schema
+  | _ :: "--parse-only" :: (_ :: _ as paths) -> List.iter parse_only paths
   | _ :: rest ->
     let named, files =
       match rest with

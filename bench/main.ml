@@ -14,46 +14,29 @@ module Config = Ppnpart_core.Config
 module Report = Ppnpart_core.Report
 module Run_report = Ppnpart_core.Run_report
 module Metis_like = Ppnpart_baselines.Metis_like
+module Json = Ppnpart_obs.Json
 
 let out_dir = "bench_out"
 
 let ensure_out_dir () =
   if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755
 
-(* Strip all whitespace outside string literals: a pretty-printed JSON
-   document becomes one line, suitable for a JSONL history file. *)
-let minify_json s =
-  let b = Buffer.create (String.length s) in
-  let in_str = ref false and escaped = ref false in
-  String.iter
-    (fun ch ->
-      if !in_str then begin
-        Buffer.add_char b ch;
-        if !escaped then escaped := false
-        else if ch = '\\' then escaped := true
-        else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | ' ' | '\t' | '\n' | '\r' -> ()
-        | '"' ->
-          in_str := true;
-          Buffer.add_char b ch
-        | _ -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
-(* Every JSON snapshot rewrite also appends its minified form to
-   [bench_out/history/<name>.jsonl], so the perf trajectory across PRs
-   survives the snapshot being overwritten in place. *)
-let append_history name json =
+(* Write a record to [bench_out/BENCH_<name>.json] as one JSON line, and
+   append the same line to [bench_out/history/<name>.jsonl], so the perf
+   trajectory across PRs survives the snapshot being overwritten in
+   place. *)
+let write_record name doc =
   ensure_out_dir ();
+  let line = Json.to_string doc ^ "\n" in
+  let path = Filename.concat out_dir ("BENCH_" ^ name ^ ".json") in
+  Graph_io.write_file path line;
+  print_string line;
+  Printf.printf "  wrote %s\n" path;
   let dir = Filename.concat out_dir "history" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let path = Filename.concat dir (name ^ ".jsonl") in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (minify_json json);
-  output_char oc '\n';
+  output_string oc line;
   close_out oc;
   Printf.printf "  appended %s\n" path
 
@@ -540,14 +523,15 @@ let fm_bench ~n ~m ~k =
     time (fun () -> Refine_constrained.refine rng' g c (Array.copy part0))
   in
   ( g, c,
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "fm_pass_bucket_s": %.6f, "fm_pass_quadratic_est_s": %.6f,
-      "fm_pass_speedup": %.1f,
-      "refine_s": %.6f, "refine_violation": %d, "refine_cut": %d }|}
-      n (Wgraph.n_edges g) k bucket_pass_s quadratic_est_s
-      (quadratic_est_s /. bucket_pass_s)
-      refine_s gd.Metrics.violation gd.Metrics.cut_value )
+    Json.(
+      Obj
+        [ ("n", Int n); ("m", Int (Wgraph.n_edges g)); ("k", Int k);
+          ("fm_pass_bucket_s", Float bucket_pass_s);
+          ("fm_pass_quadratic_est_s", Float quadratic_est_s);
+          ("fm_pass_speedup", Float (quadratic_est_s /. bucket_pass_s));
+          ("refine_s", Float refine_s);
+          ("refine_violation", Int gd.Metrics.violation);
+          ("refine_cut", Int gd.Metrics.cut_value) ]) )
 
 (* Boundary-driven constrained refinement vs the legacy full-scan path.
    The two consume identical rng draws and promise a bit-identical
@@ -624,15 +608,18 @@ let refine_bench ?(reps = 3) ~n ~k () =
     | None -> (0, 0., 0.)
   in
   let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "legacy_refine_s": %.4f, "boundary_refine_s": %.4f, "speedup": %.1f,
-      "same_goodness": %b, "violation": %d, "cut": %d,
-      "active_sweeps": %d, "active_size_total": %d,
-      "active_fraction_mean": %.4f, "active_fraction_max": %.4f }|}
-      n (Wgraph.n_edges g) k legacy_s boundary_s (legacy_s /. boundary_s)
-      same_goodness bg.Metrics.violation bg.Metrics.cut_value frac_count
-      active_size_total frac_mean frac_max
+    Json.(
+      Obj
+        [ ("n", Int n); ("m", Int (Wgraph.n_edges g)); ("k", Int k);
+          ("legacy_refine_s", Float legacy_s);
+          ("boundary_refine_s", Float boundary_s);
+          ("speedup", Float (legacy_s /. boundary_s));
+          ("same_goodness", Bool same_goodness);
+          ("violation", Int bg.Metrics.violation);
+          ("cut", Int bg.Metrics.cut_value); ("active_sweeps", Int frac_count);
+          ("active_size_total", Int active_size_total);
+          ("active_fraction_mean", Float frac_mean);
+          ("active_fraction_max", Float frac_max) ])
   in
   (row, legacy_s, boundary_s)
 
@@ -648,10 +635,12 @@ let refine_scale_bench ?(reps = 3) ~n ~k () =
   in
   ignore (run () (* warm the workspace *));
   let (_, gd), serial_s = compacted_min ~reps run in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "k": %d, "serial_refine_s": %.4f,
-      "violation": %d, "cut": %d }|}
-    n (Wgraph.n_edges g) k serial_s gd.Metrics.violation gd.Metrics.cut_value
+  Json.(
+    Obj
+      [ ("n", Int n); ("m", Int (Wgraph.n_edges g)); ("k", Int k);
+        ("serial_refine_s", Float serial_s);
+        ("violation", Int gd.Metrics.violation);
+        ("cut", Int gd.Metrics.cut_value) ])
 
 (* The consolidated deterministic run report must be byte-identical
    when only the execution width changes. Runs the full GP pipeline
@@ -667,9 +656,10 @@ let report_determinism_row ~n ~k () =
   in
   let identical = report r1 = report r4 in
   let row =
-    Printf.sprintf
-      {|{ "n": %d, "k": %d, "report_identical_across_jobs": %b }|} n k
-      identical
+    Json.(
+      Obj
+        [ ("n", Int n); ("k", Int k);
+          ("report_identical_across_jobs", Bool identical) ])
   in
   (row, identical)
 
@@ -716,15 +706,16 @@ let coarsen_bench ~n ~m =
     done;
     !ok
   in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "levels": %d,
-      "legacy_build_s": %.4f, "fast_build_s": %.4f, "speedup": %.1f,
-      "legacy_alloc_words": %.0f, "fast_alloc_words": %.0f,
-      "alloc_ratio": %.1f, "bit_identical": %b }|}
-    n (Wgraph.n_edges g) (Coarsen.levels h_fast) legacy_s fast_s
-    (legacy_s /. fast_s) legacy_words fast_words
-    (legacy_words /. fast_words)
-    identical
+  Json.(
+    Obj
+      [ ("n", Int n); ("m", Int (Wgraph.n_edges g));
+        ("levels", Int (Coarsen.levels h_fast));
+        ("legacy_build_s", Float legacy_s); ("fast_build_s", Float fast_s);
+        ("speedup", Float (legacy_s /. fast_s));
+        ("legacy_alloc_words", Float legacy_words);
+        ("fast_alloc_words", Float fast_words);
+        ("alloc_ratio", Float (legacy_words /. fast_words));
+        ("bit_identical", Bool identical) ])
 
 let vcycle_instance ~layers ~width =
   (* Infeasible by construction (bmax = 0 on a connected graph), so every
@@ -778,19 +769,21 @@ let vcycle_bench () =
   let r1s, t1s, r4s, t4s = vcycle_pair ~reps:4 ~max_cycles:20 g_small c_small in
   let g_large, c_large = vcycle_instance ~layers:80 ~width:60 in
   let r1l, t1l, r4l, t4l = vcycle_pair ~reps:3 ~max_cycles:20 g_large c_large in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "k": 4, "max_cycles": 20,
-      "cycles_used": %d, "jobs1_s": %.3f, "jobs4_s": %.3f,
-      "jobs4_speedup": %.1f, "deterministic_across_jobs": %b,
-      "gated_small": { "n": %d, "m": %d, "cycles_used": %d,
-        "jobs1_s": %.3f, "jobs4_s": %.3f, "jobs4_speedup": %.1f,
-        "deterministic_across_jobs": %b } }|}
-    (Wgraph.n_nodes g_large) (Wgraph.n_edges g_large) r1l.Gp.cycles_used t1l
-    t4l (t1l /. t4l)
-    (r1l.Gp.part = r4l.Gp.part)
-    (Wgraph.n_nodes g_small) (Wgraph.n_edges g_small) r1s.Gp.cycles_used t1s
-    t4s (t1s /. t4s)
-    (r1s.Gp.part = r4s.Gp.part)
+  let size g =
+    Json.[ ("n", Int (Wgraph.n_nodes g)); ("m", Int (Wgraph.n_edges g)) ]
+  in
+  let timing (r1 : Gp.result) t1 (r4 : Gp.result) t4 =
+    Json.
+      [ ("cycles_used", Int r1.Gp.cycles_used); ("jobs1_s", Float t1);
+        ("jobs4_s", Float t4); ("jobs4_speedup", Float (t1 /. t4));
+        ("deterministic_across_jobs", Bool (r1.Gp.part = r4.Gp.part)) ]
+  in
+  Json.(
+    Obj
+      (size g_large
+      @ [ ("k", Int 4); ("max_cycles", Int 20) ]
+      @ timing r1l t1l r4l t4l
+      @ [ ("gated_small", Obj (size g_small @ timing r1s t1s r4s t4s)) ]))
 
 (* Wall seconds spent under spans of a given name, from a capture. *)
 let phase_seconds cap name =
@@ -861,12 +854,15 @@ let obs_overhead ?(reps = 9) () =
   in
   let overhead_pct = pct_over enabled_s in
   let metrics_overhead_pct = pct_over metrics_enabled_s in
-  Printf.sprintf
-    {|{ "disabled_s": %.4f, "enabled_s": %.4f, "overhead_pct": %.2f,
-      "metrics_enabled_s": %.4f, "metrics_overhead_pct": %.2f,
-      "same_partition": %b }|}
-    disabled_s enabled_s overhead_pct metrics_enabled_s metrics_overhead_pct
-    (r_off.Gp.part = r_on.Gp.part && r_off.Gp.part = r_met.Gp.part)
+  Json.(
+    Obj
+      [ ("disabled_s", Float disabled_s); ("enabled_s", Float enabled_s);
+        ("overhead_pct", Float overhead_pct);
+        ("metrics_enabled_s", Float metrics_enabled_s);
+        ("metrics_overhead_pct", Float metrics_overhead_pct);
+        ( "same_partition",
+          Bool (r_off.Gp.part = r_on.Gp.part && r_off.Gp.part = r_met.Gp.part)
+        ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Streaming partitioner: the O(edges) path vs the multilevel V-cycle. *)
@@ -915,31 +911,26 @@ let mode_bench ~n_target ~reps =
   let cut (r : Gp.result) = r.Gp.goodness.Metrics.cut_value
   and viol (r : Gp.result) = r.Gp.goodness.Metrics.violation in
   let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+  (* [extra] sits between the speedup and the cut fields. *)
+  let row side r s extra =
+    Json.(
+      Obj
+        ([ ("n", Int n); ("m", Int (Wgraph.n_edges g)); ("k", Int c.Types.k);
+           (side ^ "_s", Float s); ("multilevel_s", Float ml_s);
+           ("speedup", Float (ml_s /. s)) ]
+        @ extra
+        @ [ (side ^ "_cut", Int (cut r)); ("multilevel_cut", Int (cut ml));
+            ("cut_ratio", Float (ratio (cut r) (cut ml)));
+            (side ^ "_violation", Int (viol r));
+            ("multilevel_violation", Int (viol ml)) ]))
+  in
   let stream_row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "stream_s": %.4f, "multilevel_s": %.4f, "speedup": %.1f,
-      "nodes_per_s": %.0f, "deterministic_across_jobs": %b,
-      "stream_cut": %d, "multilevel_cut": %d, "cut_ratio": %.2f,
-      "stream_violation": %d, "multilevel_violation": %d }|}
-      n (Wgraph.n_edges g) c.Types.k stream_s ml_s (ml_s /. stream_s)
-      (float_of_int n /. stream_s)
-      (st.Gp.part = st4.Gp.part)
-      (cut st) (cut ml)
-      (ratio (cut st) (cut ml))
-      (viol st) (viol ml)
+    row "stream" st stream_s
+      Json.
+        [ ("nodes_per_s", Float (float_of_int n /. stream_s));
+          ("deterministic_across_jobs", Bool (st.Gp.part = st4.Gp.part)) ]
   in
-  let hybrid_row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "hybrid_s": %.4f, "multilevel_s": %.4f, "speedup": %.1f,
-      "hybrid_cut": %d, "multilevel_cut": %d, "cut_ratio": %.2f,
-      "hybrid_violation": %d, "multilevel_violation": %d }|}
-      n (Wgraph.n_edges g) c.Types.k hybrid_s ml_s (ml_s /. hybrid_s)
-      (cut hy) (cut ml)
-      (ratio (cut hy) (cut ml))
-      (viol hy) (viol ml)
-  in
+  let hybrid_row = row "hybrid" hy hybrid_s [] in
   (stream_row, hybrid_row, ml_s, hybrid_s, cut st, cut ml)
 
 (* The headline scale row: an R-MAT instance past what the V-cycle can
@@ -1003,27 +994,32 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
   let st_ref, _ = Stream.partition g_ref c_ref in
   let gd_ref = Metrics.goodness g_ref c_ref st_ref in
   let ml_ref_cut = ml_ref.Gp.goodness.Metrics.cut_value in
-  Printf.sprintf
-    {|{ "scale": %d, "n": %d, "m": %d, "k": %d,
-      "generate_s": %.4f, "stream_s": %.4f, "nodes_per_s": %.0f,
-      "passes": %d, "converged": %b,
-      "workspace_words": %d, "state_words": %d,
-      "violation": %d, "cut": %d,
-      "e2e_bytes": %d, "e2e_parse_then_stream_s": %.4f,
-      "multilevel_ref": { "scale": %d, "n": %d, "m": %d,
-        "multilevel_s": %.4f, "multilevel_cut": %d, "stream_cut": %d,
-        "cut_ratio": %.2f,
-        "multilevel_violation": %d, "stream_violation": %d } }|}
-    scale n (Wgraph.n_edges g) k gen_s stream_s
-    (float_of_int n /. stream_s)
-    stats.Stream.iterations stats.Stream.converged (Workspace.words ws)
-    stats.Stream.state_words gd.Metrics.violation gd.Metrics.cut_value
-    e2e_bytes e2e_parse_s ref_scale
-    (Wgraph.n_nodes g_ref)
-    (Wgraph.n_edges g_ref)
-    ml_ref_s ml_ref_cut gd_ref.Metrics.cut_value
-    (float_of_int gd_ref.Metrics.cut_value /. float_of_int (max 1 ml_ref_cut))
-    ml_ref.Gp.goodness.Metrics.violation gd_ref.Metrics.violation
+  Json.(
+    Obj
+      [ ("scale", Int scale); ("n", Int n); ("m", Int (Wgraph.n_edges g));
+        ("k", Int k); ("generate_s", Float gen_s); ("stream_s", Float stream_s);
+        ("nodes_per_s", Float (float_of_int n /. stream_s));
+        ("passes", Int stats.Stream.iterations);
+        ("converged", Bool stats.Stream.converged);
+        ("workspace_words", Int (Workspace.words ws));
+        ("state_words", Int stats.Stream.state_words);
+        ("violation", Int gd.Metrics.violation);
+        ("cut", Int gd.Metrics.cut_value); ("e2e_bytes", Int e2e_bytes);
+        ("e2e_parse_then_stream_s", Float e2e_parse_s);
+        ( "multilevel_ref",
+          Obj
+            [ ("scale", Int ref_scale); ("n", Int (Wgraph.n_nodes g_ref));
+              ("m", Int (Wgraph.n_edges g_ref));
+              ("multilevel_s", Float ml_ref_s);
+              ("multilevel_cut", Int ml_ref_cut);
+              ("stream_cut", Int gd_ref.Metrics.cut_value);
+              ( "cut_ratio",
+                Float
+                  (float_of_int gd_ref.Metrics.cut_value
+                  /. float_of_int (max 1 ml_ref_cut)) );
+              ( "multilevel_violation",
+                Int ml_ref.Gp.goodness.Metrics.violation );
+              ("stream_violation", Int gd_ref.Metrics.violation) ] ) ])
 
 (* METIS text ingest: [Graph_io.of_metis] is a single-pass cursor
    tokenizer, and large streamed instances arrive through it, so its
@@ -1045,13 +1041,13 @@ let ingest_bench ~scale ~reps =
     || Wgraph.n_edges g2 <> Wgraph.n_edges g
   then failwith "ingest_bench: of_metis roundtrip changed the graph shape";
   let bytes = String.length text in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "bytes": %d,
-      "to_metis_s": %.4f, "of_metis_s": %.4f,
-      "mb_per_s": %.1f, "edges_per_s": %.0f }|}
-    (Wgraph.n_nodes g) (Wgraph.n_edges g) bytes to_s of_s
-    (float_of_int bytes /. of_s /. 1e6)
-    (float_of_int (Wgraph.n_edges g) /. of_s)
+  Json.(
+    Obj
+      [ ("n", Int (Wgraph.n_nodes g)); ("m", Int (Wgraph.n_edges g));
+        ("bytes", Int bytes); ("to_metis_s", Float to_s);
+        ("of_metis_s", Float of_s);
+        ("mb_per_s", Float (float_of_int bytes /. of_s /. 1e6));
+        ("edges_per_s", Float (float_of_int (Wgraph.n_edges g) /. of_s)) ])
 
 (* Incremental repartitioning vs from-scratch on a planted instance
    with a small edit (DESIGN.md §6.7): the daemon's steady-state
@@ -1155,20 +1151,23 @@ let repartition_bench ~n ~k ~edit_pct ~reps () =
     rp.Gp.rp_result.Gp.feasible || not scratch.Gp.feasible
   in
   let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d, "ops": %d, "touched": %d,
-      "scratch_s": %.4f, "incremental_s": %.4f, "speedup": %.2f,
-      "incremental": %b, "seeded": %d,
-      "violation": %d, "cut": %d, "scratch_cut": %d,
-      "feasible": %b, "feasible_agree": %b, "never_worse": %b,
-      "deterministic_across_jobs": %b }|}
-      n (Wgraph.n_edges g) k (List.length ops) edit.Graph_edit.touched
-      scratch_s incr_s
-      (scratch_s /. incr_s)
-      rp.Gp.rp_incremental rp.Gp.rp_seeded gd.Metrics.violation
-      gd.Metrics.cut_value scratch.Gp.goodness.Metrics.cut_value
-      rp.Gp.rp_result.Gp.feasible feasible_agree never_worse
-      (rp.Gp.rp_result.Gp.part = rp4.Gp.rp_result.Gp.part)
+    Json.(
+      Obj
+        [ ("n", Int n); ("m", Int (Wgraph.n_edges g)); ("k", Int k);
+          ("ops", Int (List.length ops));
+          ("touched", Int edit.Graph_edit.touched);
+          ("scratch_s", Float scratch_s); ("incremental_s", Float incr_s);
+          ("speedup", Float (scratch_s /. incr_s));
+          ("incremental", Bool rp.Gp.rp_incremental);
+          ("seeded", Int rp.Gp.rp_seeded);
+          ("violation", Int gd.Metrics.violation);
+          ("cut", Int gd.Metrics.cut_value);
+          ("scratch_cut", Int scratch.Gp.goodness.Metrics.cut_value);
+          ("feasible", Bool rp.Gp.rp_result.Gp.feasible);
+          ("feasible_agree", Bool feasible_agree);
+          ("never_worse", Bool never_worse);
+          ( "deterministic_across_jobs",
+            Bool (rp.Gp.rp_result.Gp.part = rp4.Gp.rp_result.Gp.part) ) ])
   in
   (row, scratch_s, incr_s, rp.Gp.rp_incremental)
 
@@ -1209,11 +1208,11 @@ let daemon_bench ~workers ~clients ~requests ~n ~k () =
   let metis =
     let rng = Random.State.make [| 0xDA; n |] in
     let g, _ = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-    String.concat "\\n" (String.split_on_char '\n' (Graph_io.to_metis g))
+    Graph_io.to_metis g
   in
   let latencies = Array.make (clients * requests) 0. in
-  let request oc ic line =
-    output_string oc line;
+  let request oc ic fields =
+    output_string oc (Json.to_string (Json.Obj fields));
     output_char oc '\n';
     flush oc;
     input_line ic
@@ -1223,29 +1222,32 @@ let daemon_bench ~workers ~clients ~requests ~n ~k () =
     Unix.connect fd (Unix.ADDR_UNIX socket_path);
     let oc = Unix.out_channel_of_descr fd in
     let ic = Unix.in_channel_of_descr fd in
-    let name = Printf.sprintf "g%d" ci in
+    let graph = ("graph", Json.Str (Printf.sprintf "g%d" ci)) in
     ignore
       (request oc ic
-         (Printf.sprintf "{\"op\":\"submit\",\"graph\":%S,\"metis\":\"%s\"}"
-            name metis));
+         Json.[ ("op", Str "submit"); graph; ("metis", Str metis) ]);
     ignore
       (request oc ic
-         (Printf.sprintf
-            "{\"op\":\"partition\",\"graph\":%S,\"k\":%d,\"seed\":1}" name k));
+         Json.
+           [ ("op", Str "partition"); graph; ("k", Int k); ("seed", Int 1) ]);
     for r = 0 to requests - 1 do
       (* Alternate a node weight up and down: a minimal real edit, so
          every request exercises apply/seed/refine end to end. *)
-      let line =
-        Printf.sprintf
-          "{\"op\":\"repartition\",\"graph\":%S,\"edits\":[{\"op\":\"set_node_weight\",\"node\":%d,\"w\":%d}]}"
-          name (r mod n)
-          (1 + (r mod 2))
+      let edit =
+        Json.(
+          Obj
+            [ ("op", Str "set_node_weight"); ("node", Int (r mod n));
+              ("w", Int (1 + (r mod 2))) ])
       in
       let t0 = Unix.gettimeofday () in
-      let resp = request oc ic line in
+      let resp =
+        request oc ic
+          Json.[ ("op", Str "repartition"); graph; ("edits", Arr [ edit ]) ]
+      in
       latencies.((ci * requests) + r) <- Unix.gettimeofday () -. t0;
-      if String.length resp < 11 || String.sub resp 0 11 <> "{\"ok\":true," then
-        failwith ("daemon_bench: request failed: " ^ resp)
+      match Json.parse resp with
+      | Ok reply when Json.member "ok" reply = Some (Json.Bool true) -> ()
+      | _ -> failwith ("daemon_bench: request failed: " ^ resp)
     done;
     Unix.close fd
   in
@@ -1257,7 +1259,8 @@ let daemon_bench ~workers ~clients ~requests ~n ~k () =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket_path);
   let oc = Unix.out_channel_of_descr fd in
-  ignore (request oc (Unix.in_channel_of_descr fd) "{\"op\":\"shutdown\"}");
+  ignore
+    (request oc (Unix.in_channel_of_descr fd) [ ("op", Json.Str "shutdown") ]);
   Unix.close fd;
   Thread.join daemon;
   Array.sort compare latencies;
@@ -1269,16 +1272,16 @@ let daemon_bench ~workers ~clients ~requests ~n ~k () =
 let daemon_row ~clients ~requests ~n ~k ~speedup () =
   let rps1, p99_1, _ = daemon_bench ~workers:1 ~clients ~requests ~n ~k () in
   let rps4, p99_4, _ = daemon_bench ~workers:4 ~clients ~requests ~n ~k () in
-  Printf.sprintf
-    {|{ "n": %d, "k": %d, "clients": %d, "requests_per_client": %d,
-      "req_per_s_1": %.1f, "p99_ms_1": %.3f,
-      "req_per_s_4": %.1f, "p99_ms_4": %.3f,
-      "incremental_vs_scratch_speedup": %.2f }|}
-    n k clients requests rps1 p99_1 rps4 p99_4 speedup
+  Json.(
+    Obj
+      [ ("n", Int n); ("k", Int k); ("clients", Int clients);
+        ("requests_per_client", Int requests); ("req_per_s_1", Float rps1);
+        ("p99_ms_1", Float p99_1); ("req_per_s_4", Float rps4);
+        ("p99_ms_4", Float p99_4);
+        ("incremental_vs_scratch_speedup", Float speedup) ])
 
 let bench_json () =
   section "Machine-readable benchmark record (BENCH_partition.json)";
-  ensure_out_dir ();
   let instance_rows =
     List.map
       (fun (e : PG.experiment) ->
@@ -1287,22 +1290,25 @@ let bench_json () =
               Gp.partition e.PG.graph e.PG.constraints)
         in
         let p = phase_seconds cap in
-        Printf.sprintf
-          {|    { "name": %S, "n": %d, "m": %d, "k": %d, "cut": %d,
-      "feasible": %b, "runtime_s": %.4f, "cycles": %d, "levels": %d,
-      "jobs": %d,
-      "phases": { "coarsen_s": %.6f, "initial_s": %.6f,
-        "refine_s": %.6f, "vcycle_s": %.6f } }|}
-          e.PG.name
-          (Wgraph.n_nodes e.PG.graph)
-          (Wgraph.n_edges e.PG.graph)
-          e.PG.constraints.Types.k r.Gp.report.Metrics.total_cut
-          r.Gp.feasible r.Gp.runtime_s r.Gp.cycles_used r.Gp.levels
-          Config.default.Config.jobs (p "coarsen.level")
-          (p "initial.greedy")
-          (p "refine.constrained" +. p "refine.tabu"
-          +. p "refine.state_init")
-          (p "gp.cycle"))
+        Json.(
+          Obj
+            [ ("name", Str e.PG.name); ("n", Int (Wgraph.n_nodes e.PG.graph));
+              ("m", Int (Wgraph.n_edges e.PG.graph));
+              ("k", Int e.PG.constraints.Types.k);
+              ("cut", Int r.Gp.report.Metrics.total_cut);
+              ("feasible", Bool r.Gp.feasible);
+              ("runtime_s", Float r.Gp.runtime_s);
+              ("cycles", Int r.Gp.cycles_used); ("levels", Int r.Gp.levels);
+              ("jobs", Int Config.default.Config.jobs);
+              ( "phases",
+                Obj
+                  [ ("coarsen_s", Float (p "coarsen.level"));
+                    ("initial_s", Float (p "initial.greedy"));
+                    ( "refine_s",
+                      Float
+                        (p "refine.constrained" +. p "refine.tabu"
+                        +. p "refine.state_init") );
+                    ("vcycle_s", Float (p "gp.cycle")) ] ) ]))
       PG.all
   in
   (* The headline micro-benchmarks stay observability-free so their
@@ -1325,39 +1331,18 @@ let bench_json () =
     daemon_row ~clients:4 ~requests:50 ~n:2_000 ~k:4
       ~speedup:(scratch_s /. incr_s) ()
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "schema": "ppnpart-bench-partition/11",
-  "generated_unix": %.0f,
-  "instances": [
-%s
-  ],
-  "fm_5k": %s,
-  "refine_50k": %s,
-  "refine_1m": %s,
-  "coarsen_50k": %s,
-  "vcycles_20": %s,
-  "obs_overhead": %s,
-  "stream_1m": %s,
-  "stream_200k": %s,
-  "hybrid_200k": %s,
-  "ingest_131k": %s,
-  "repartition_50k": %s,
-  "daemon": %s
-}
-|}
-      (Unix.time ())
-      (String.concat ",\n" instance_rows)
-      fm_row refine_row refine_1m_row coarsen_row vc_row obs_row
-      stream_1m_row stream_row hybrid_row ingest_row repartition_row
-      daemon_row
-  in
-  let path = Filename.concat out_dir "BENCH_partition.json" in
-  Graph_io.write_file path json;
-  print_string json;
-  Printf.printf "  wrote %s\n" path;
-  append_history "partition" json
+  write_record "partition"
+    Json.(
+      Obj
+        [ ("schema", Str "ppnpart-bench-partition/11");
+          ("generated_unix", Int (int_of_float (Unix.time ())));
+          ("instances", Arr instance_rows); ("fm_5k", fm_row);
+          ("refine_50k", refine_row); ("refine_1m", refine_1m_row);
+          ("coarsen_50k", coarsen_row); ("vcycles_20", vc_row);
+          ("obs_overhead", obs_row); ("stream_1m", stream_1m_row);
+          ("stream_200k", stream_row); ("hybrid_200k", hybrid_row);
+          ("ingest_131k", ingest_row); ("repartition_50k", repartition_row);
+          ("daemon", daemon_row) ])
 
 (* ------------------------------------------------------------------ *)
 (* Smoke: the micro-benchmarks at shrunk sizes, for CI.                 *)
@@ -1367,34 +1352,36 @@ let bench_json () =
    enough for a CI runner, prints the rows, and rewrites nothing — its
    only job is to catch a benchmark that stopped building, crashed, or
    lost a structural property (bit-identity, determinism). *)
+let print_row name row = Printf.printf "  %s: %s\n%!" name (Json.to_string row)
+
 let smoke () =
   section "Bench smoke (shrunk sizes, no JSON rewrite)";
   let _, _, fm_row = fm_bench ~n:600 ~m:2400 ~k:4 in
-  Printf.printf "  fm_600: %s\n%!" fm_row;
+  print_row "fm_600" fm_row;
   (* Boundary vs legacy at CI size: bit-identity is asserted inside
      refine_bench on every run, and the boundary path must additionally
      never be slower than the full-scan path it replaces (min over reps
      on each side, so a noise spike can't fake a regression). *)
   let refine_row, legacy_s, boundary_s = refine_bench ~n:4_000 ~k:8 () in
-  Printf.printf "  refine_4k: %s\n%!" refine_row;
+  print_row "refine_4k" refine_row;
   if boundary_s > legacy_s then
     failwith
       (Printf.sprintf
          "smoke: boundary refine slower than legacy (%.4fs > %.4fs)"
          boundary_s legacy_s);
-  Printf.printf "  refine_parallel_20k: %s\n%!"
+  print_row "refine_parallel_20k"
     (refine_scale_bench ~n:20_000 ~k:8 ~reps:3 ());
   (* Jobs-determinism of the consolidated report: the deterministic
      report must be byte-identical between jobs 1 and 4. *)
   let report_row, report_identical = report_determinism_row ~n:2_000 ~k:8 () in
-  Printf.printf "  report_2k: %s\n%!" report_row;
+  print_row "report_2k" report_row;
   if not report_identical then
     failwith
       "smoke: deterministic run report differs between jobs 1 and jobs 4";
   let coarsen_row = coarsen_bench ~n:4_000 ~m:16_000 in
-  Printf.printf "  coarsen_4k: %s\n%!" coarsen_row;
+  print_row "coarsen_4k" coarsen_row;
   let obs_row = obs_overhead ~reps:2 () in
-  Printf.printf "  obs_overhead: %s\n%!" obs_row;
+  print_row "obs_overhead" obs_row;
   let g, c = vcycle_instance ~layers:20 ~width:10 in
   let r1, t1, r4, t4 = vcycle_pair ~reps:1 ~max_cycles:5 g c in
   Printf.printf
@@ -1414,8 +1401,8 @@ let smoke () =
   let stream_row, hybrid_row, ml_s, hybrid_s, stream_cut, ml_cut =
     mode_bench ~n_target:20_000 ~reps:2
   in
-  Printf.printf "  stream_20k: %s\n%!" stream_row;
-  Printf.printf "  hybrid_20k: %s\n%!" hybrid_row;
+  print_row "stream_20k" stream_row;
+  print_row "hybrid_20k" hybrid_row;
   if hybrid_s > ml_s then
     failwith
       (Printf.sprintf
@@ -1427,7 +1414,7 @@ let smoke () =
          "smoke: streaming cut %d more than 20x the multilevel cut %d"
          stream_cut ml_cut);
   let ingest_row = ingest_bench ~scale:13 ~reps:2 in
-  Printf.printf "  ingest_8k: %s\n%!" ingest_row;
+  print_row "ingest_8k" ingest_row;
   (* Incremental repartitioning at CI scale: same measurement code as
      the 50k JSON row. The whole point of the daemon's steady state is
      that a small-edit request is cheaper than a scratch run, so the
@@ -1435,7 +1422,7 @@ let smoke () =
   let repart_row, scratch_s, incr_s, incremental =
     repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 ()
   in
-  Printf.printf "  repartition_4k: %s\n%!" repart_row;
+  print_row "repartition_4k" repart_row;
   if not incremental then
     failwith "smoke: 1%-edit repartition fell back to the full pipeline";
   if incr_s > scratch_s then
@@ -1453,7 +1440,6 @@ let smoke () =
    thresholds on — the timing fields only get loose advisory bounds. *)
 let bench_json_smoke () =
   section "Machine-readable smoke record (BENCH_smoke.json)";
-  ensure_out_dir ();
   let _, _, fm_row = fm_bench ~n:600 ~m:2400 ~k:4 in
   let refine_row, _, _ = refine_bench ~n:4_000 ~k:8 () in
   let refine_parallel_row = refine_scale_bench ~n:20_000 ~k:8 ~reps:3 () in
@@ -1463,11 +1449,11 @@ let bench_json_smoke () =
   let g, c = vcycle_instance ~layers:20 ~width:10 in
   let r1, t1, r4, t4 = vcycle_pair ~reps:1 ~max_cycles:5 g c in
   let vc_row =
-    Printf.sprintf
-      {|{ "jobs1_s": %.4f, "jobs4_s": %.4f, "cycles_used": %d,
-      "deterministic_across_jobs": %b }|}
-      t1 t4 r1.Gp.cycles_used
-      (r1.Gp.part = r4.Gp.part)
+    Json.(
+      Obj
+        [ ("jobs1_s", Float t1); ("jobs4_s", Float t4);
+          ("cycles_used", Int r1.Gp.cycles_used);
+          ("deterministic_across_jobs", Bool (r1.Gp.part = r4.Gp.part)) ])
   in
   let stream_row, hybrid_row, _, _, _, _ =
     mode_bench ~n_target:20_000 ~reps:2
@@ -1476,32 +1462,17 @@ let bench_json_smoke () =
   let repart_row, _, _, _ =
     repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 ()
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "schema": "ppnpart-bench-smoke/6",
-  "generated_unix": %.0f,
-  "fm_600": %s,
-  "refine_4k": %s,
-  "refine_parallel_20k": %s,
-  "report_2k": %s,
-  "coarsen_4k": %s,
-  "obs_overhead": %s,
-  "vcycles_5": %s,
-  "stream_20k": %s,
-  "hybrid_20k": %s,
-  "ingest_8k": %s,
-  "repartition_4k": %s
-}
-|}
-      (Unix.time ()) fm_row refine_row refine_parallel_row report_row
-      coarsen_row obs_row vc_row stream_row hybrid_row ingest_row repart_row
-  in
-  let path = Filename.concat out_dir "BENCH_smoke.json" in
-  Graph_io.write_file path json;
-  print_string json;
-  Printf.printf "  wrote %s\n" path;
-  append_history "smoke" json
+  write_record "smoke"
+    Json.(
+      Obj
+        [ ("schema", Str "ppnpart-bench-smoke/6");
+          ("generated_unix", Int (int_of_float (Unix.time ())));
+          ("fm_600", fm_row); ("refine_4k", refine_row);
+          ("refine_parallel_20k", refine_parallel_row);
+          ("report_2k", report_row); ("coarsen_4k", coarsen_row);
+          ("obs_overhead", obs_row); ("vcycles_5", vc_row);
+          ("stream_20k", stream_row); ("hybrid_20k", hybrid_row);
+          ("ingest_8k", ingest_row); ("repartition_4k", repart_row) ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table.                 *)

@@ -15,22 +15,9 @@
 open Ppnpart_graph
 open Ppnpart_partition
 module Obs = Ppnpart_obs
+module Json = Ppnpart_obs.Json
 
 let schema = "ppnpart-run-report/1"
-
-let js = Ppnpart_obs.Trace_export.json_string
-
-let jfloat f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
-let jint_array a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
-
-let jmatrix m =
-  "[" ^ String.concat "," (List.map jint_array (Array.to_list m)) ^ "]"
 
 (* Registry names that depend on heap history or schedule, not on the
    algorithm: excluded under [~deterministic]. *)
@@ -80,90 +67,86 @@ let phases_of_snapshot (snap : Obs.Metrics_registry.snapshot) =
           })
     snap.histograms
 
-let quantiles_json (h : Obs.Histogram.snapshot) =
-  Printf.sprintf "\"p50\":%s,\"p90\":%s,\"p99\":%s"
-    (jfloat (Obs.Histogram.quantile h 0.50))
-    (jfloat (Obs.Histogram.quantile h 0.90))
-    (jfloat (Obs.Histogram.quantile h 0.99))
+let quantiles (h : Obs.Histogram.snapshot) =
+  List.map
+    (fun (key, q) -> (key, Json.Float (Obs.Histogram.quantile h q)))
+    [ ("p50", 0.50); ("p90", 0.90); ("p99", 0.99) ]
 
 let phase_json ~deterministic p =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":%s,\"calls\":%d,\"total_us\":%s,%s" (js p.name)
-       p.us.count (jfloat p.us.sum) (quantiles_json p.us));
-  Buffer.add_string b
-    (Printf.sprintf ",\"minor_words\":%s" (jfloat p.minor_words));
-  if not deterministic then
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"major_words\":%s,\"promoted_words\":%s,\"minor_collections\":%d,\"major_collections\":%d"
-         (jfloat p.major_words)
-         (jfloat p.promoted_words)
-         p.minor_collections p.major_collections);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.(
+    Obj
+      ([ ("name", Str p.name); ("calls", Int p.us.count);
+         ("total_us", Float p.us.sum) ]
+      @ quantiles p.us
+      @ [ ("minor_words", Float p.minor_words) ]
+      @
+      if deterministic then []
+      else
+        [ ("major_words", Float p.major_words);
+          ("promoted_words", Float p.promoted_words);
+          ("minor_collections", Int p.minor_collections);
+          ("major_collections", Int p.major_collections) ]))
 
 let hist_json (h : Obs.Histogram.snapshot) =
-  Printf.sprintf "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,%s}" h.count
-    (jfloat h.sum) (jfloat h.min) (jfloat h.max) (quantiles_json h)
+  Json.(
+    Obj
+      ([ ("count", Int h.count); ("sum", Float h.sum); ("min", Float h.min);
+         ("max", Float h.max) ]
+      @ quantiles h))
 
 let to_json ?(deterministic = false) ?(algo = "multilevel") ?runtime_s
     ?cycles ?levels ?(snapshot = Obs.Metrics_registry.empty_snapshot) g
     (c : Types.constraints) part =
   let q = Metrics.quality g c part in
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"schema\":%s,\"algo\":%s" (js schema) (js algo);
-  add ",\"graph\":{\"nodes\":%d,\"edges\":%d}" (Wgraph.n_nodes g)
-    (Wgraph.n_edges g);
-  add ",\"constraints\":{\"k\":%d,\"bmax\":%d,\"rmax\":%d}" c.Types.k
-    c.Types.bmax c.Types.rmax;
-  (match runtime_s with
-  | Some t when not deterministic -> add ",\"runtime_s\":%s" (jfloat t)
-  | _ -> ());
-  (match cycles with Some n -> add ",\"cycles\":%d" n | None -> ());
-  (match levels with Some n -> add ",\"levels\":%d" n | None -> ());
-  add
-    ",\"quality\":{\"cut\":%d,\"max_bandwidth\":%d,\"bandwidth_ok\":%b,\"bw_excess\":%d,\"max_resources\":%d,\"resource_ok\":%b,\"res_excess\":%d,\"feasible\":%b,\"imbalance\":%s,\"loads\":%s,\"bandwidth_matrix\":%s}"
-    q.Metrics.cut q.Metrics.max_bandwidth
-    (q.Metrics.bw_excess = 0)
-    q.Metrics.bw_excess q.Metrics.max_resources
-    (q.Metrics.res_excess = 0)
-    q.Metrics.res_excess
-    (q.Metrics.bw_excess = 0 && q.Metrics.res_excess = 0)
-    (jfloat q.Metrics.imbalance)
-    (jint_array q.Metrics.loads)
-    (jmatrix q.Metrics.bandwidth);
+  let ints a = Json.Arr (Array.to_list (Array.map (fun i -> Json.Int i) a)) in
+  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
   let keep name = not (deterministic && nondeterministic_name name) in
-  let phases = phases_of_snapshot snapshot in
-  add ",\"phases\":[%s]"
-    (String.concat ","
-       (List.map (phase_json ~deterministic) phases));
-  add ",\"counters\":{%s}"
-    (String.concat ","
-       (List.filter_map
-          (fun (name, v) ->
-            if keep name then Some (Printf.sprintf "%s:%d" (js name) v)
-            else None)
-          snapshot.counters));
-  add ",\"gauges\":{%s}"
-    (String.concat ","
-       (List.filter_map
-          (fun (name, v) ->
-            if keep name then
-              Some (Printf.sprintf "%s:%s" (js name) (jfloat v))
-            else None)
-          snapshot.gauges));
-  add ",\"histograms\":{%s}"
-    (String.concat ","
-       (List.filter_map
-          (fun (name, h) ->
-            if keep name then
-              Some (Printf.sprintf "%s:%s" (js name) (hist_json h))
-            else None)
-          snapshot.histograms));
-  add "}";
-  Buffer.contents b
+  let named f entries =
+    Json.Obj
+      (List.filter_map
+         (fun (name, v) -> if keep name then Some (name, f v) else None)
+         entries)
+  in
+  Json.to_string
+    Json.(
+      Obj
+        ([ ("schema", Str schema); ("algo", Str algo);
+           ( "graph",
+             Obj
+               [ ("nodes", Int (Wgraph.n_nodes g));
+                 ("edges", Int (Wgraph.n_edges g)) ] );
+           ( "constraints",
+             Obj
+               [ ("k", Int c.Types.k); ("bmax", Int c.Types.bmax);
+                 ("rmax", Int c.Types.rmax) ] ) ]
+        @ (if deterministic then []
+           else opt "runtime_s" (fun t -> Float t) runtime_s)
+        @ opt "cycles" (fun n -> Int n) cycles
+        @ opt "levels" (fun n -> Int n) levels
+        @ [ ( "quality",
+              Obj
+                [ ("cut", Int q.Metrics.cut);
+                  ("max_bandwidth", Int q.Metrics.max_bandwidth);
+                  ("bandwidth_ok", Bool (q.Metrics.bw_excess = 0));
+                  ("bw_excess", Int q.Metrics.bw_excess);
+                  ("max_resources", Int q.Metrics.max_resources);
+                  ("resource_ok", Bool (q.Metrics.res_excess = 0));
+                  ("res_excess", Int q.Metrics.res_excess);
+                  ( "feasible",
+                    Bool (q.Metrics.bw_excess = 0 && q.Metrics.res_excess = 0)
+                  );
+                  ("imbalance", Float q.Metrics.imbalance);
+                  ("loads", ints q.Metrics.loads);
+                  ( "bandwidth_matrix",
+                    Arr (Array.to_list (Array.map ints q.Metrics.bandwidth)) )
+                ] );
+            ( "phases",
+              Arr
+                (List.map (phase_json ~deterministic)
+                   (phases_of_snapshot snapshot)) );
+            ("counters", named (fun v -> Int v) snapshot.counters);
+            ("gauges", named (fun v -> Float v) snapshot.gauges);
+            ("histograms", named hist_json snapshot.histograms) ]))
 
 let of_result ?deterministic ?algo ?snapshot g c (r : Gp.result) =
   to_json ?deterministic ?algo ~runtime_s:r.Gp.runtime_s

@@ -7,35 +7,18 @@
    track 0, every task buffer gets the next free id — so ids depend only
    on the task structure, never on the domain schedule. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_string s = "\"" ^ escape s ^ "\""
-
 let json_value = function
-  | Obs.Int i -> string_of_int i
-  | Obs.Float f -> Printf.sprintf "%.6g" f
-  | Obs.Str s -> json_string s
-  | Obs.Bool b -> string_of_bool b
+  | Obs.Int i -> Json.Int i
+  | Obs.Float f -> Json.Float f
+  | Obs.Str s -> Json.Str s
+  | Obs.Bool b -> Json.Bool b
 
-let json_args args =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> json_string k ^ ":" ^ json_value v) args)
-  ^ "}"
+(* An event's fields, then its args object when it has any. *)
+let event fields args =
+  if args = [] then Json.Obj fields
+  else
+    let args = List.map (fun (k, v) -> (k, json_value v)) args in
+    Json.Obj (fields @ [ ("args", Json.Obj args) ])
 
 (* --- Chrome trace-event format --- *)
 
@@ -43,63 +26,53 @@ let to_chrome (cap : Obs.capture) =
   let b = Buffer.create 65536 in
   Buffer.add_string b "{\"traceEvents\":[\n";
   let first = ref true in
-  let line s =
+  let line ?(args = []) fields =
     if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b s
+    Json.to_buffer b (event fields args)
+  in
+  let counter name ts value =
+    line
+      Json.
+        [ ("name", Str name); ("ph", Str "C"); ("ts", Int ts); ("pid", Int 1);
+          ("tid", Int 0); ("args", Obj [ ("value", value) ]) ]
   in
   let counter_cum : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let next_tid = ref 0 in
   let rec walk buf =
     let tid = !next_tid in
     incr next_tid;
+    let track = Json.[ ("pid", Int 1); ("tid", Int tid) ] in
     line
-      (Printf.sprintf
-         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}"
-         tid
-         (json_string (if tid = 0 then "main" else "task")));
+      Json.(
+        [ ("name", Str "thread_name"); ("ph", Str "M") ]
+        @ track
+        @ [ ( "args",
+              Obj [ ("name", Str (if tid = 0 then "main" else "task")) ] ) ]);
     List.iter
       (fun (ev : Obs.event) ->
         match ev with
         | Obs.Begin { name; ts; args } ->
-          let args_field =
-            if args = [] then "" else ",\"args\":" ^ json_args args
-          in
-          line
-            (Printf.sprintf
-               "{\"name\":%s,\"cat\":\"ppnpart\",\"ph\":\"B\",\"ts\":%d,\"pid\":1,\"tid\":%d%s}"
-               (json_string name) ts tid args_field)
+          line ~args
+            Json.(
+              [ ("name", Str name); ("cat", Str "ppnpart"); ("ph", Str "B");
+                ("ts", Int ts) ]
+              @ track)
         | Obs.End { ts; args } ->
-          let args_field =
-            if args = [] then "" else ",\"args\":" ^ json_args args
-          in
-          line
-            (Printf.sprintf
-               "{\"ph\":\"E\",\"ts\":%d,\"pid\":1,\"tid\":%d%s}" ts tid
-               args_field)
+          line ~args Json.([ ("ph", Str "E"); ("ts", Int ts) ] @ track)
         | Obs.Instant { name; ts; args } ->
-          let args_field =
-            if args = [] then "" else ",\"args\":" ^ json_args args
-          in
-          line
-            (Printf.sprintf
-               "{\"name\":%s,\"cat\":\"ppnpart\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":1,\"tid\":%d%s}"
-               (json_string name) ts tid args_field)
+          line ~args
+            Json.(
+              [ ("name", Str name); ("cat", Str "ppnpart"); ("ph", Str "i");
+                ("s", Str "t"); ("ts", Int ts) ]
+              @ track)
         | Obs.Count { name; ts; delta } ->
           let cum =
             delta
             + Option.value ~default:0 (Hashtbl.find_opt counter_cum name)
           in
           Hashtbl.replace counter_cum name cum;
-          line
-            (Printf.sprintf
-               "{\"name\":%s,\"ph\":\"C\",\"ts\":%d,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}"
-               (json_string name) ts cum)
-        | Obs.Sample { name; ts; value } ->
-          line
-            (Printf.sprintf
-               "{\"name\":%s,\"ph\":\"C\",\"ts\":%d,\"pid\":1,\"tid\":0,\"args\":{\"value\":%s}}"
-               (json_string name) ts
-               (Printf.sprintf "%.6g" value))
+          counter name ts (Json.Int cum)
+        | Obs.Sample { name; ts; value } -> counter name ts (Json.Float value)
         | Obs.Child child -> walk child)
       (Obs.events buf)
   in
@@ -115,41 +88,26 @@ let to_jsonl (cap : Obs.capture) =
   let rec walk parent buf =
     let vt = !next_tid in
     incr next_tid;
-    if vt > 0 then
-      Buffer.add_string b
-        (Printf.sprintf "{\"ev\":\"task\",\"vt\":%d,\"parent\":%d}\n" vt
-           parent);
+    let line ?(args = []) kind fields =
+      Json.to_buffer b
+        (event (("ev", Json.Str kind) :: ("vt", Json.Int vt) :: fields) args);
+      Buffer.add_char b '\n'
+    in
+    if vt > 0 then line "task" [ ("parent", Json.Int parent) ];
     List.iter
       (fun (ev : Obs.event) ->
-        let args_field args =
-          if args = [] then "" else ",\"args\":" ^ json_args args
-        in
         match ev with
         | Obs.Begin { name; ts; args } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ev\":\"begin\",\"vt\":%d,\"name\":%s,\"ts\":%d%s}\n" vt
-               (json_string name) ts (args_field args))
-        | Obs.End { ts; args } ->
-          Buffer.add_string b
-            (Printf.sprintf "{\"ev\":\"end\",\"vt\":%d,\"ts\":%d%s}\n" vt ts
-               (args_field args))
+          line ~args "begin" Json.[ ("name", Str name); ("ts", Int ts) ]
+        | Obs.End { ts; args } -> line ~args "end" [ ("ts", Json.Int ts) ]
         | Obs.Instant { name; ts; args } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ev\":\"instant\",\"vt\":%d,\"name\":%s,\"ts\":%d%s}\n" vt
-               (json_string name) ts (args_field args))
+          line ~args "instant" Json.[ ("name", Str name); ("ts", Int ts) ]
         | Obs.Count { name; ts; delta } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ev\":\"count\",\"vt\":%d,\"name\":%s,\"ts\":%d,\"delta\":%d}\n"
-               vt (json_string name) ts delta)
+          line "count"
+            Json.[ ("name", Str name); ("ts", Int ts); ("delta", Int delta) ]
         | Obs.Sample { name; ts; value } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ev\":\"sample\",\"vt\":%d,\"name\":%s,\"ts\":%d,\"value\":%s}\n"
-               vt (json_string name) ts
-               (Printf.sprintf "%.6g" value))
+          line "sample"
+            Json.[ ("name", Str name); ("ts", Int ts); ("value", Float value) ]
         | Obs.Child child -> walk vt child)
       (Obs.events buf)
   in

@@ -28,19 +28,6 @@ val to_openmetrics : Metrics_registry.snapshot -> string
     sanitized (dots become underscores). Deterministic: metrics appear
     sorted by name. *)
 
-(** {2 JSON helpers}
-
-    Shared by {!Ppnpart_core.Run_report}; emit compact JSON with the
-    escaping rules of the trace exporters. *)
-
-val json_string : string -> string
-(** A quoted, escaped JSON string literal. *)
-
-val json_value : Obs.value -> string
-
-val json_args : Obs.args -> string
-(** An args list as a JSON object. *)
-
 val span_totals : Obs.capture -> (string * int * int) list
 (** [(name, calls, total)] per span name, sorted by descending total
     (ties by name). Totals are in the capture clock's unit:

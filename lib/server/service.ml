@@ -65,21 +65,22 @@ let install t id graph =
       in
       Hashtbl.replace t.graphs id e)
 
-let labels_json part = Json.Arr (Array.to_list (Array.map Json.int part))
+let labels_json part =
+  Json.Arr (Array.to_list (Array.map (fun l -> Json.Int l) part))
 
 let result_fields (r : Gp.result) =
   [ ("feasible", Json.Bool r.Gp.feasible);
-    ("violation", Json.int r.Gp.goodness.Metrics.violation);
-    ("cut", Json.int r.Gp.goodness.Metrics.cut_value);
-    ("cycles", Json.int r.Gp.cycles_used);
-    ("runtime_s", Json.Num r.Gp.runtime_s);
+    ("violation", Json.Int r.Gp.goodness.Metrics.violation);
+    ("cut", Json.Int r.Gp.goodness.Metrics.cut_value);
+    ("cycles", Json.Int r.Gp.cycles_used);
+    ("runtime_s", Json.Float r.Gp.runtime_s);
     ("labels", labels_json r.Gp.part) ]
 
 let installed_reply ~id ~graph g =
   Protocol.ok ?id
     [ ("graph", Json.Str graph);
-      ("nodes", Json.int (Wgraph.n_nodes g));
-      ("edges", Json.int (Wgraph.n_edges g)) ]
+      ("nodes", Json.Int (Wgraph.n_nodes g));
+      ("edges", Json.Int (Wgraph.n_edges g)) ]
 
 let do_submit t ~id ~graph ~metis =
   let g = Graph_io.of_metis metis in
@@ -109,7 +110,7 @@ let do_submit_rows t ~id ~graph ~metis =
           Ok
             (Protocol.ok ?id
                [ ("graph", Json.Str graph);
-                 ("rows", Json.int (Graph_io.Rows.rows_done up.rows)) ])
+                 ("rows", Json.Int (Graph_io.Rows.rows_done up.rows)) ])
         | exception Failure msg ->
           (* The reader is stuck mid-error; the upload cannot continue.
              Drop it so a retry starts clean — the connection and any
@@ -182,10 +183,10 @@ let do_repartition t ~id ~graph ~edits ~workspace =
           Ok
             (Protocol.ok ?id
                (("graph", Json.Str graph)
-                :: ("nodes", Json.int (Wgraph.n_nodes rp.Gp.rp_graph))
-                :: ("edges", Json.int (Wgraph.n_edges rp.Gp.rp_graph))
+                :: ("nodes", Json.Int (Wgraph.n_nodes rp.Gp.rp_graph))
+                :: ("edges", Json.Int (Wgraph.n_edges rp.Gp.rp_graph))
                 :: ("incremental", Json.Bool rp.Gp.rp_incremental)
-                :: ("seeded", Json.int rp.Gp.rp_seeded)
+                :: ("seeded", Json.Int rp.Gp.rp_seeded)
                 :: result_fields rp.Gp.rp_result))
         | _ ->
           Error
@@ -210,10 +211,10 @@ let do_report t ~id ~graph =
 
 let stats t =
   with_lock t.lock (fun () ->
-      [ ("graphs", Json.int (Hashtbl.length t.graphs));
-        ("uploads", Json.int (Hashtbl.length t.pending));
-        ("requests", Json.int t.requests);
-        ("errors", Json.int t.errors) ])
+      [ ("graphs", Json.Int (Hashtbl.length t.graphs));
+        ("uploads", Json.Int (Hashtbl.length t.pending));
+        ("requests", Json.Int t.requests);
+        ("errors", Json.Int t.errors) ])
 
 let op_label = function
   | Protocol.Submit _ -> "submit"

@@ -11,6 +11,7 @@ module Reg = Ppnpart_obs.Metrics_registry
 module Gc_stats = Ppnpart_obs.Gc_stats
 module Trace_export = Ppnpart_obs.Trace_export
 module CC = Ppnpart_bench_compare.Compare_core
+module Json = Ppnpart_obs.Json
 module PG = Ppnpart_workloads.Paper_graphs
 
 let check_int = Alcotest.(check int)
@@ -254,6 +255,59 @@ let test_openmetrics_roundtrip () =
          || String.length l > 8 && String.sub l 0 8 = "ppnpart_")
        lines)
 
+(* --- run report format --- *)
+
+(* The report's bytes, pinned: a fixed 4-node graph and a hand-built
+   snapshot covering an integral, a non-integral and a NaN float, an
+   empty histogram, a name that needs escaping, and names the
+   deterministic mode drops. The literal was rendered by the run report
+   before it moved onto Ppnpart_obs.Json. *)
+let test_run_report_pinned () =
+  let g =
+    Ppnpart_graph.Wgraph.of_edges ~vwgt:[| 3; 1; 4; 1 |] 4
+      [ (0, 1, 2); (1, 2, 5); (2, 3, 1); (3, 0, 7) ]
+  in
+  let c = Ppnpart_partition.Types.constraints ~k:2 ~bmax:6 ~rmax:5 in
+  let snapshot =
+    {
+      Reg.counters =
+        [ ("a\"b\nc", 3); ("refine.moves", 12); ("x.major_collections", 2) ];
+      gauges = [ ("g.integral", 3.0); ("g.nan", Float.nan); ("g.ratio", 0.1) ];
+      histograms =
+        [
+          ("coarsen.level.major_words", hist_of [ 10. ]);
+          ("coarsen.level.minor_words", hist_of [ 1024.; 2048. ]);
+          ("coarsen.level.us", hist_of [ 12.; 40.; 7. ]);
+          ("coarsen.ratio", hist_of [ 0.5; 0.25 ]);
+          ("empty", hist_of []);
+        ];
+    }
+  in
+  check_string "report bytes"
+    ({|{"schema":"ppnpart-run-report/1","algo":"gp","graph":{"nodes":4,|}
+    ^ {|"edges":4},"constraints":{"k":2,"bmax":6,"rmax":5},"cycles":3,|}
+    ^ {|"levels":2,"quality":{"cut":12,"max_bandwidth":12,|}
+    ^ {|"bandwidth_ok":false,"bw_excess":6,"max_resources":5,|}
+    ^ {|"resource_ok":true,"res_excess":0,"feasible":false,|}
+    ^ {|"imbalance":1.1111111111111112,"loads":[4,5],|}
+    ^ {|"bandwidth_matrix":[[0,12],[12,0]]},|}
+    ^ {|"phases":[{"name":"coarsen.level","calls":3,"total_us":59.0,|}
+    ^ {|"p50":11.313708498984761,"p90":38.054627680087073,|}
+    ^ {|"p99":38.054627680087073,"minor_words":3072.0}],|}
+    ^ {|"counters":{"a\"b\nc":3,"refine.moves":12},|}
+    ^ {|"gauges":{"g.integral":3.0,"g.nan":null,|}
+    ^ {|"g.ratio":0.10000000000000001},|}
+    ^ {|"histograms":{"coarsen.level.minor_words":{"count":2,"sum":3072.0,|}
+    ^ {|"min":1024.0,"max":2048.0,"p50":1024.0,"p90":2048.0,"p99":2048.0},|}
+    ^ {|"coarsen.level.us":{"count":3,"sum":59.0,"min":7.0,"max":40.0,|}
+    ^ {|"p50":11.313708498984761,"p90":38.054627680087073,|}
+    ^ {|"p99":38.054627680087073},"coarsen.ratio":{"count":2,"sum":0.75,|}
+    ^ {|"min":0.25,"max":0.5,"p50":0.25,"p90":0.5,"p99":0.5},|}
+    ^ {|"empty":{"count":0,"sum":0.0,"min":null,"max":null,"p50":null,|}
+    ^ {|"p90":null,"p99":null}}}|})
+    (Run_report.to_json ~deterministic:true ~algo:"gp" ~runtime_s:1.25
+       ~cycles:3 ~levels:2 ~snapshot g c [| 0; 0; 1; 1 |])
+
 (* --- bench snapshot comparator --- *)
 
 let base_doc =
@@ -265,7 +319,7 @@ let regressed_doc =
      "rows": [ { "name": "r2", "v": 2.0 }, { "name": "r1", "v": 0.2 } ] }|}
 
 let parse_ok doc =
-  match CC.parse doc with
+  match Json.parse doc with
   | Ok j -> j
   | Error msg -> Alcotest.fail ("parse: " ^ msg)
 
@@ -299,9 +353,9 @@ let test_compare_self_is_clean () =
   check_bool "no regression against self" false (CC.has_regression rows)
 
 let test_compare_parse_errors () =
-  check_bool "truncated" true (Result.is_error (CC.parse "{\"a\": "));
-  check_bool "trailing" true (Result.is_error (CC.parse "{} x"));
-  check_bool "bare number ok" true (CC.parse "42" = Ok (CC.Num 42.))
+  check_bool "truncated" true (Result.is_error (Json.parse "{\"a\": "));
+  check_bool "trailing" true (Result.is_error (Json.parse "{} x"));
+  check_bool "bare number ok" true (Json.parse "42" = Ok (Json.Int 42))
 
 let () =
   Alcotest.run "metrics"
@@ -340,6 +394,8 @@ let () =
           Alcotest.test_case "round-trip parse" `Quick
             test_openmetrics_roundtrip;
         ] );
+      ( "run_report",
+        [ Alcotest.test_case "format pinned" `Quick test_run_report_pinned ] );
       ( "compare",
         [
           Alcotest.test_case "detects regression" `Quick

@@ -1,4 +1,4 @@
-(* Tests for the daemon stack: Json, Protocol, Worker_pool, Service and
+(* Tests for the daemon stack: Protocol, Worker_pool, Service and
    an in-process end-to-end Daemon round trip (DESIGN.md §6.7). *)
 
 open Ppnpart_graph
@@ -19,82 +19,11 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* --- Json --- *)
-
-let test_json_roundtrip () =
-  let cases =
-    [ "null"; "true"; "false"; "0"; "-17"; "3.5"; "\"\"";
-      "\"a b\\\"c\\\\d\""; "[]"; "[1,2,3]"; "{}";
-      "{\"a\":1,\"b\":[true,null],\"c\":{\"d\":\"e\"}}" ]
-  in
-  List.iter
-    (fun s ->
-      match Json.parse s with
-      | Error e -> Alcotest.failf "parse %S: %s" s e
-      | Ok v ->
-        let s' = Json.to_string v in
-        (match Json.parse s' with
-        | Error e -> Alcotest.failf "reparse %S: %s" s' e
-        | Ok v' -> check_bool (Printf.sprintf "roundtrip %S" s) true (v = v')))
-    cases
-
-let test_json_rejects_garbage () =
-  List.iter
-    (fun s ->
-      match Json.parse s with
-      | Ok _ -> Alcotest.failf "parse %S unexpectedly succeeded" s
-      | Error _ -> ())
-    [ ""; "{"; "[1,"; "nul"; "{\"a\"}"; "{\"a\":1} trailing"; "'single'";
-      "{\"a\":01}" ]
-
-let test_json_numbers () =
-  (match Json.parse "1073741824" with
-  | Ok (Json.Num f) -> check_int "big int survives" 1073741824 (int_of_float f)
-  | _ -> Alcotest.fail "1073741824 did not parse as Num");
-  check_string "int prints without dot" "42" (Json.to_string (Json.int 42));
-  check_string "negative int" "-7" (Json.to_string (Json.int (-7)));
-  (* The printer's number bytes are the reply bytes: integral numbers
-     in ±2^53 print as Printf's [%.0f] would (including the sign of a
-     parsed [-0]), everything else as [%.12g]. *)
-  let same name printf f =
-    check_string name (Printf.sprintf printf f) (Json.to_string (Json.Num f))
-  in
-  let r = Random.State.make [| 0x15 |] in
-  let two53 = 1 lsl 53 in
-  for _ = 1 to 2000 do
-    let i = Random.State.full_int r two53 in
-    let i = if Random.State.bool r then -i else i in
-    same (string_of_int i) "%.0f" (float_of_int i)
-  done;
-  List.iter
-    (fun f -> same (Printf.sprintf "%h" f) "%.0f" f)
-    [ 0.; Float.of_int two53; -.Float.of_int two53;
-      Float.of_int max_int /. 2048. ];
-  (match Json.parse "-0" with
-  | Ok (Json.Num f) ->
-    check_bool "parsed -0 keeps its sign" true (Float.sign_bit f);
-    same "parsed -0" "%.0f" f;
-    check_string "-0 bytes" "-0" (Json.to_string (Json.Num f))
-  | _ -> Alcotest.fail "-0 did not parse as Num");
-  List.iter
-    (fun f -> same (Printf.sprintf "%h" f) "%.12g" f)
-    [ 3.5; -0.1; 1e-300; 1e300; 2. ** 53. +. 2.; -.(2. ** 60.); 1. /. 3.;
-      Float.pi *. 1e20 ];
-  for _ = 1 to 200 do
-    let f = Random.State.float r 1e6 -. 5e5 in
-    if not (Float.is_integer f) then same (Printf.sprintf "%h" f) "%.12g" f
-  done
-
-let test_json_string_escapes () =
-  match Json.parse "\"tab\\tnl\\nu\\u0041\"" with
-  | Ok (Json.Str s) -> check_string "escapes decoded" "tab\tnl\nuA" s
-  | _ -> Alcotest.fail "escaped string did not parse"
-
 (* --- Protocol --- *)
 
 let test_protocol_parse_ok () =
   (match Protocol.parse "{\"op\":\"stats\",\"id\":7}" with
-  | Some (Json.Num 7.0), Ok Protocol.Stats -> ()
+  | Some (Json.Int 7), Ok Protocol.Stats -> ()
   | _ -> Alcotest.fail "stats with id");
   (match Protocol.parse "{\"op\":\"shutdown\"}" with
   | None, Ok Protocol.Shutdown -> ()
@@ -148,17 +77,17 @@ let test_protocol_parse_errors () =
   err "{\"op\":\"repartition\",\"graph\":\"g\",\"edits\":[{\"op\":\"bogus\"}]}";
   (* id still recovered from a malformed request *)
   match Protocol.parse "{\"id\":42,\"op\":\"frobnicate\"}" with
-  | Some (Json.Num 42.0), Error _ -> ()
+  | Some (Json.Int 42), Error _ -> ()
   | _ -> Alcotest.fail "id not recovered from bad request"
 
 let test_protocol_frames () =
   check_string "ok frame" "{\"ok\":true,\"n\":3}"
-    (Protocol.ok [ ("n", Json.int 3) ]);
+    (Protocol.ok [ ("n", Json.Int 3) ]);
   check_string "error frame with id"
     "{\"ok\":false,\"id\":9,\"error\":\"boom\"}"
-    (Protocol.error ~id:(Json.int 9) "boom");
+    (Protocol.error ~id:(Json.Int 9) "boom");
   check_string "raw splice" "{\"ok\":true,\"a\":1,\"r\":{\"x\":2}}"
-    (Protocol.ok_with_raw [ ("a", Json.int 1) ] ("r", "{\"x\":2}"))
+    (Protocol.ok_with_raw [ ("a", Json.Int 1) ] ("r", "{\"x\":2}"))
 
 (* --- Worker_pool --- *)
 
@@ -311,7 +240,7 @@ let test_service_flow () =
   in
   let v, verdict = ok_json "submit" (handle svc submit) in
   check_bool "submit continues" true (verdict = `Continue);
-  check_bool "submit nodes" true (field "submit" v "nodes" = Json.int 4);
+  check_bool "submit nodes" true (field "submit" v "nodes" = Json.Int 4);
   let v, _ =
     ok_json "partition"
       (handle svc "{\"op\":\"partition\",\"graph\":\"g\",\"k\":2}")
@@ -328,7 +257,7 @@ let test_service_flow () =
         ^ "[{\"op\":\"add_node\",\"weight\":1,\"neighbors\":[[0,1]]}]}"))
   in
   check_bool "repartition grew graph" true
-    (field "repartition" v "nodes" = Json.int 5);
+    (field "repartition" v "nodes" = Json.Int 5);
   check_bool "repartition feasible" true
     (field "repartition" v "feasible" = Json.Bool true);
   let v, _ = ok_json "report" (handle svc "{\"op\":\"report\",\"graph\":\"g\"}") in
@@ -336,7 +265,7 @@ let test_service_flow () =
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "report not spliced as an object");
   let v, _ = ok_json "stats" (handle svc "{\"op\":\"stats\"}") in
-  check_bool "stats counts graphs" true (field "stats" v "graphs" = Json.int 1);
+  check_bool "stats counts graphs" true (field "stats" v "graphs" = Json.Int 1);
   let _, verdict = ok_json "shutdown" (handle svc "{\"op\":\"shutdown\"}") in
   check_bool "shutdown verdict" true (verdict = `Shutdown)
 
@@ -424,7 +353,7 @@ let test_service_lazy_report () =
      take it from the served report. *)
   let runtime_s =
     match Json.member "runtime_s" report with
-    | Some (Json.Num t) -> t
+    | Some (Json.Float t) -> t
     | _ -> Alcotest.fail "report without runtime_s"
   in
   let expected =
@@ -469,7 +398,7 @@ let test_service_errors () =
   check_bool "bad metis reported" true (String.length msg > 0);
   let v, _ = ok_json "stats" (handle svc "{\"op\":\"stats\"}") in
   match field "stats" v "errors" with
-  | Json.Num errors -> check_bool "errors counted" true (errors >= 4.0)
+  | Json.Int errors -> check_bool "errors counted" true (errors >= 4)
   | _ -> Alcotest.fail "errors not a number"
 
 let test_service_chunked_submit () =
@@ -498,8 +427,7 @@ let test_service_chunked_submit () =
               (Json.to_string (Json.Str piece))))
     in
     match field "rows" v "rows" with
-    | Json.Num r ->
-      let r = int_of_float r in
+    | Json.Int r ->
       check_bool "rows_done monotone" true (r >= !last_rows);
       last_rows := r
     | _ -> Alcotest.fail "rows not a number"
@@ -543,14 +471,14 @@ let test_service_chunked_submit_errors () =
     let v, _ = ok_json "stats" (handle svc "{\"op\":\"stats\"}") in
     field "stats" v "uploads"
   in
-  check_bool "upload pending" true (uploads () = Json.int 1);
+  check_bool "upload pending" true (uploads () = Json.Int 1);
   let msg =
     err_json "malformed piece"
       (handle svc
          "{\"op\":\"submit-rows\",\"graph\":\"g\",\"metis\":\"2 1\\n1\\n\"}")
   in
   check_bool "of_metis voice" true (contains msg "Graph_io.of_metis");
-  check_bool "upload dropped" true (uploads () = Json.int 0);
+  check_bool "upload dropped" true (uploads () = Json.Int 0);
   let msg =
     err_json "rows after failure"
       (handle svc "{\"op\":\"submit-rows\",\"graph\":\"g\",\"metis\":\"1\\n\"}")
@@ -636,7 +564,7 @@ let test_daemon_end_to_end () =
         check_bool
           (Printf.sprintf "response %d echoes id" i)
           true
-          (Json.member "id" v = Some (Json.int (i + 1)));
+          (Json.member "id" v = Some (Json.Int (i + 1)));
         let expect_ok = i <> 4 in
         check_bool
           (Printf.sprintf "response %d ok=%b" i expect_ok)
@@ -679,11 +607,7 @@ let test_daemon_deterministic_across_workers_and_restarts () =
   Alcotest.(check (list string)) "worker-count-identical" a b
 
 let quick_tests =
-  [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-    Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
-    Alcotest.test_case "json numbers" `Quick test_json_numbers;
-    Alcotest.test_case "json string escapes" `Quick test_json_string_escapes;
-    Alcotest.test_case "protocol parse ok" `Quick test_protocol_parse_ok;
+  [ Alcotest.test_case "protocol parse ok" `Quick test_protocol_parse_ok;
     Alcotest.test_case "protocol parse edits" `Quick test_protocol_parse_edits;
     Alcotest.test_case "protocol parse errors" `Quick test_protocol_parse_errors;
     Alcotest.test_case "protocol frames" `Quick test_protocol_frames;
