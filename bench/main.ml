@@ -533,7 +533,8 @@ let fm_bench ~n ~m ~k =
           ("refine_violation", Int gd.Metrics.violation);
           ("refine_cut", Int gd.Metrics.cut_value) ]) )
 
-(* Boundary-driven constrained refinement vs the legacy full-scan path.
+(* Boundary-driven constrained refinement vs the legacy full-scan path
+   (the test-only [Ppnpart_oracle.Refine]).
    The two consume identical rng draws and promise a bit-identical
    partition, so equality is asserted on *every* benchmark run (not only
    in the fuzz harness) and the timing difference is pure
@@ -570,8 +571,7 @@ let refine_bench ?(reps = 3) ~n ~k () =
       (Array.copy part0)
   in
   let run_legacy () =
-    Refine_constrained.refine ~legacy:true (mk_rng ()) g c
-      (Array.copy part0)
+    Ppnpart_oracle.Refine.refine (mk_rng ()) g c (Array.copy part0)
   in
   ignore (run_boundary () (* warm the workspace *));
   let (bp, bg), boundary_s = compacted_min ~reps run_boundary in
@@ -664,7 +664,8 @@ let report_determinism_row ~n ~k () =
   (row, identical)
 
 (* Hierarchy construction: the legacy Edge_list pipeline (boxed tuples,
-   polymorphic sorts) vs the direct CSR kernel against a reusable
+   polymorphic sorts; the test-only [Ppnpart_oracle.Coarsen]) vs the
+   direct CSR kernel against a reusable
    workspace. Both consume identical rng draws and must produce
    bit-identical hierarchies; the fast path is measured in its steady
    state (workspace warmed by a first build), which is how the GP
@@ -676,7 +677,9 @@ let coarsen_bench ~n ~m =
       ~n ~m
   in
   let mk_rng () = Random.State.make [| 0x636f; n |] in
-  let build_legacy () = Coarsen.build ~legacy:true ~target:100 (mk_rng ()) g in
+  let build_legacy () =
+    Ppnpart_oracle.Coarsen.build ~target:100 (mk_rng ()) g
+  in
   let ws = Workspace.create () in
   let build_fast () = Coarsen.build ~workspace:ws ~target:100 (mk_rng ()) g in
   Gc.compact ();
@@ -694,14 +697,14 @@ let coarsen_bench ~n ~m =
     && a.Wgraph.vwgt = b.Wgraph.vwgt
   in
   let identical =
-    Coarsen.levels h_fast = Coarsen.levels h_legacy
+    Coarsen.levels h_fast = Array.length h_legacy.Ppnpart_oracle.Coarsen.graphs
     &&
     let ok = ref true in
     for l = 0 to Coarsen.levels h_fast - 1 do
       if
         not
           (graphs_identical (Coarsen.graph_at h_fast l)
-             (Coarsen.graph_at h_legacy l))
+             h_legacy.Ppnpart_oracle.Coarsen.graphs.(l))
       then ok := false
     done;
     !ok

@@ -80,20 +80,22 @@ let profile_coarsen () =
   ignore (time "fast build (steady)" (fun () ->
       Coarsen.build ~workspace:ws ~target:100 (rng ()) g));
   ignore (time "legacy build" (fun () ->
-      Coarsen.build ~legacy:true ~target:100 (rng ()) g));
+      Ppnpart_oracle.Coarsen.build ~target:100 (rng ()) g));
   (* Level-0 component costs. *)
   let r = rng () in
   let rm = time "random_maximal" (fun () -> Matching.random_maximal r g) in
   let he = time "heavy_edge fast" (fun () ->
       Matching.heavy_edge ~workspace:ws (rng ()) g) in
   ignore (time "heavy_edge legacy" (fun () ->
-      Matching.heavy_edge_legacy (rng ()) g));
+      Ppnpart_oracle.Matching.heavy_edge (rng ()) g));
   ignore (time "k_means fast" (fun () ->
       Matching.k_means ~workspace:ws (rng ()) g));
-  ignore (time "k_means legacy" (fun () -> Matching.k_means_legacy (rng ()) g));
+  ignore (time "k_means legacy" (fun () ->
+      Ppnpart_oracle.Matching.k_means (rng ()) g));
   ignore rm;
   ignore (time "contract fast" (fun () -> Coarsen.contract ~workspace:ws g he));
-  ignore (time "contract legacy" (fun () -> Coarsen.contract_legacy g he))
+  ignore (time "contract legacy" (fun () ->
+      Ppnpart_oracle.Coarsen.contract g he))
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "repart" then

@@ -29,12 +29,29 @@ exception
 (** Raised by the validators below. A human-readable printer is
     registered, so an uncaught violation prints all four components. *)
 
+val totals :
+  ?site:string ->
+  Wgraph.t ->
+  Types.constraints ->
+  part:int array ->
+  bw:int array array ->
+  load:int array ->
+  members:int array ->
+  cut:int ->
+  bw_excess:int ->
+  res_excess:int ->
+  unit
+(** Recompute the partition's bandwidth matrix, loads, member counts,
+    cut and both raw excess totals from scratch and diff them against the
+    given incrementally maintained values, in dependency order —
+    partition validity, bandwidth matrix, loads, member counts, cut,
+    bandwidth excess, resource excess — so [field] names the most
+    upstream divergence. Bumps the obs counter ["check.<site>"]. *)
+
 val part_state : ?site:string -> Part_state.t -> unit
-(** Recompute every maintained quantity of the state from scratch and
-    diff. Fields are compared in dependency order — partition validity,
-    bandwidth matrix, loads, member counts, cut, bandwidth excess,
-    resource excess — so [field] names the most upstream divergence.
-    Bumps the obs counter ["check.<site>"]. *)
+(** {!totals} on the state's fields, then the boundary caches:
+    connectivity rows, external degrees, the active set and the part
+    member chains. *)
 
 val partition : ?site:string -> Wgraph.t -> Types.constraints -> int array -> unit
 (** Validate a bare partition array against the graph: exact length and

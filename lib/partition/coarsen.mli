@@ -16,13 +16,15 @@ val contract :
     holding fine node [u]. Runs the direct CSR→CSR kernel: the coarse
     adjacency is built in [workspace] scratch (a private workspace if
     omitted) with generation-marked duplicate merging, allocating only the
-    coarse graph itself. The result is bit-identical to
-    {!contract_legacy}.
+    coarse graph itself.
     @raise Invalid_argument if [partner] is not a valid matching. *)
 
-val contract_legacy : Wgraph.t -> int array -> Wgraph.t * int array
-(** The original tuple-based contraction through {!Edge_list} — kept as
-    the oracle for differential tests and benchmarks. *)
+val coarse_map : Wgraph.t -> int array -> int * int array * int array
+(** [coarse_map g partner] is [(n', cmap, vwgt)]: the coarse node count,
+    the fine-to-coarse map (pairs numbered by their smaller endpoint in
+    ascending order) and the coarse node weights — the part of
+    {!contract} that does not touch edges.
+    @raise Invalid_argument if [partner] is not a valid matching. *)
 
 (** A coarsening hierarchy. [graphs.(0)] is the input (finest) graph;
     [maps.(l).(u)] sends node [u] of level [l] to its node at level
@@ -39,7 +41,6 @@ val graph_at : hierarchy -> int -> Wgraph.t
 
 val build :
   ?workspace:Workspace.t ->
-  ?legacy:bool ->
   ?target:int ->
   ?strategies:Matching.strategy list ->
   ?min_shrink:float ->
@@ -54,13 +55,10 @@ val build :
     three) by {!Matching.matched_weight} is used; with [jobs > 1] the
     strategies race concurrently (see {!Matching.best_of} — the hierarchy
     is identical for every job count). [workspace] is reused across all
-    levels (and across calls, e.g. V-cycle re-coarsenings); [legacy]
-    routes matching and contraction through the boxed-tuple reference
-    path — the hierarchy is bit-identical either way. *)
+    levels (and across calls, e.g. V-cycle re-coarsenings). *)
 
 val extend :
   ?workspace:Workspace.t ->
-  ?legacy:bool ->
   ?target:int ->
   ?strategies:Matching.strategy list ->
   ?min_shrink:float ->

@@ -14,11 +14,7 @@ open Ppnpart_graph
      external neighbour).
    - [pl_next]/[pl_prev]/[pl_head] chain the members of each part
      (intrusive doubly linked lists, head marked [-p - 1] in [pl_prev])
-     so an Rmax crossing can refresh exactly the affected part's members.
-
-   A state built with [cache = false] carries none of this and behaves
-   exactly like the pre-boundary implementation — the differential
-   oracle the fuzz harness runs the fast path against. *)
+     so an Rmax crossing can refresh exactly the affected part's members. *)
 
 type t = {
   g : Wgraph.t;
@@ -31,7 +27,6 @@ type t = {
   mutable res_excess : int;
   mutable cut : int;
   ws : Workspace.t;
-  cache : bool;
   conn : int array;
   ed : int array;
   active : int array;
@@ -112,105 +107,70 @@ let build_node_caches st =
     if should_be_active st u then active_add st u
   done
 
-(* The pre-boundary initialization, verbatim: fresh allocations through
-   [Metrics], no caches. This is the state the [~legacy] oracle runs on,
-   so its cost model must stay that of the original implementation. *)
-let init_alloc g (c : Types.constraints) part =
+let init ?workspace g (c : Types.constraints) part0 =
+  let ws =
+    match workspace with Some w -> w | None -> Workspace.create ()
+  in
   let k = c.Types.k in
-  let bw = Metrics.bandwidth_matrix g ~k part in
-  let load = Metrics.part_resources g ~k part in
-  let members = Array.make k 0 in
-  Array.iter (fun p -> members.(p) <- members.(p) + 1) part;
-  {
-    g;
-    c;
-    part = Array.copy part;
-    bw;
-    load;
-    members;
-    bw_excess = Metrics.bandwidth_excess g c part;
-    res_excess = Metrics.resource_excess g c part;
-    cut = Metrics.cut g part;
-    ws = Workspace.create ();
-    cache = false;
-    conn = [||];
-    ed = [||];
-    active = [||];
-    apos = [||];
-    n_active = 0;
-    pl_next = [||];
-    pl_prev = [||];
-    pl_head = [||];
-  }
-
-let init ?workspace ?(cache = true) g (c : Types.constraints) part0 =
-  if not cache then init_alloc g c part0
-  else begin
-    let ws =
-      match workspace with Some w -> w | None -> Workspace.create ()
-    in
-    let k = c.Types.k in
-    let n = Wgraph.n_nodes g in
-    Workspace.ensure_state ws ~n ~k;
-    let part = Workspace.part_bank ws ~n in
-    Array.blit part0 0 part 0 n;
-    let bw = ws.Workspace.ps_bw in
-    for p = 0 to k - 1 do
-      Array.fill bw.(p) 0 k 0
-    done;
-    let load = ws.Workspace.ps_load in
-    let members = ws.Workspace.ps_members in
-    Array.fill load 0 k 0;
-    Array.fill members 0 k 0;
-    for u = 0 to n - 1 do
-      let p = part.(u) in
-      load.(p) <- load.(p) + Wgraph.node_weight g u;
-      members.(p) <- members.(p) + 1
-    done;
-    let cut = ref 0 in
-    Wgraph.iter_edges g (fun u v w ->
-        let p = part.(u) and q = part.(v) in
-        if p <> q then begin
-          bw.(p).(q) <- bw.(p).(q) + w;
-          bw.(q).(p) <- bw.(q).(p) + w;
-          cut := !cut + w
-        end);
-    let bw_excess = ref 0 in
-    for p = 0 to k - 1 do
-      for q = p + 1 to k - 1 do
-        bw_excess := !bw_excess + excess_over c.Types.bmax bw.(p).(q)
-      done
-    done;
-    let res_excess = ref 0 in
-    for p = 0 to k - 1 do
-      res_excess := !res_excess + excess_over c.Types.rmax load.(p)
-    done;
-    let st =
-      {
-        g;
-        c;
-        part;
-        bw;
-        load;
-        members;
-        bw_excess = !bw_excess;
-        res_excess = !res_excess;
-        cut = !cut;
-        ws;
-        cache = true;
-        conn = ws.Workspace.ps_conn;
-        ed = ws.Workspace.ps_ed;
-        active = ws.Workspace.ps_active;
-        apos = ws.Workspace.ps_apos;
-        n_active = 0;
-        pl_next = ws.Workspace.pl_next;
-        pl_prev = ws.Workspace.pl_prev;
-        pl_head = ws.Workspace.pl_head;
-      }
-    in
-    build_node_caches st;
-    st
-  end
+  let n = Wgraph.n_nodes g in
+  Workspace.ensure_state ws ~n ~k;
+  let part = Workspace.part_bank ws ~n in
+  Array.blit part0 0 part 0 n;
+  let bw = ws.Workspace.ps_bw in
+  for p = 0 to k - 1 do
+    Array.fill bw.(p) 0 k 0
+  done;
+  let load = ws.Workspace.ps_load in
+  let members = ws.Workspace.ps_members in
+  Array.fill load 0 k 0;
+  Array.fill members 0 k 0;
+  for u = 0 to n - 1 do
+    let p = part.(u) in
+    load.(p) <- load.(p) + Wgraph.node_weight g u;
+    members.(p) <- members.(p) + 1
+  done;
+  let cut = ref 0 in
+  Wgraph.iter_edges g (fun u v w ->
+      let p = part.(u) and q = part.(v) in
+      if p <> q then begin
+        bw.(p).(q) <- bw.(p).(q) + w;
+        bw.(q).(p) <- bw.(q).(p) + w;
+        cut := !cut + w
+      end);
+  let bw_excess = ref 0 in
+  for p = 0 to k - 1 do
+    for q = p + 1 to k - 1 do
+      bw_excess := !bw_excess + excess_over c.Types.bmax bw.(p).(q)
+    done
+  done;
+  let res_excess = ref 0 in
+  for p = 0 to k - 1 do
+    res_excess := !res_excess + excess_over c.Types.rmax load.(p)
+  done;
+  let st =
+    {
+      g;
+      c;
+      part;
+      bw;
+      load;
+      members;
+      bw_excess = !bw_excess;
+      res_excess = !res_excess;
+      cut = !cut;
+      ws;
+      conn = ws.Workspace.ps_conn;
+      ed = ws.Workspace.ps_ed;
+      active = ws.Workspace.ps_active;
+      apos = ws.Workspace.ps_apos;
+      n_active = 0;
+      pl_next = ws.Workspace.pl_next;
+      pl_prev = ws.Workspace.pl_prev;
+      pl_head = ws.Workspace.pl_head;
+    }
+  in
+  build_node_caches st;
+  st
 
 (* Contraction preserves cut, pairwise bandwidth and per-part loads
    exactly (the multilevel invariant, Coarsen's module doc), so the fine
@@ -225,8 +185,6 @@ let init_projected ~map coarse fine_g =
       [ ("nodes", Ppnpart_obs.Obs.Int (Wgraph.n_nodes fine_g)) ])
     "refine.state_init"
   @@ fun () ->
-  if not coarse.cache then
-    invalid_arg "Part_state.init_projected: coarse state has no caches";
   let ws = coarse.ws in
   let c = coarse.c in
   let k = c.Types.k in
@@ -256,7 +214,6 @@ let init_projected ~map coarse fine_g =
       res_excess = coarse.res_excess;
       cut = coarse.cut;
       ws;
-      cache = true;
       conn = ws.Workspace.ps_conn;
       ed = ws.Workspace.ps_ed;
       active = ws.Workspace.ps_active;
@@ -272,12 +229,7 @@ let init_projected ~map coarse fine_g =
 
 let connectivity st conn u =
   let k = st.c.Types.k in
-  if st.cache then Array.blit st.conn (u * k) conn 0 k
-  else begin
-    Array.fill conn 0 k 0;
-    Wgraph.iter_neighbors st.g u (fun v w ->
-        conn.(st.part.(v)) <- conn.(st.part.(v)) + w)
-  end
+  Array.blit st.conn (u * k) conn 0 k
 
 let move_deltas st u t conn =
   let c = st.c in
@@ -326,8 +278,8 @@ let apply_move st u t conn =
   st.bw.(t).(p) <- pt';
   let w_u = Wgraph.node_weight st.g u in
   let rmax = st.c.Types.rmax in
-  let p_was_over = st.cache && st.load.(p) > rmax in
-  let t_was_over = st.cache && st.load.(t) > rmax in
+  let p_was_over = st.load.(p) > rmax in
+  let t_was_over = st.load.(t) > rmax in
   st.load.(p) <- st.load.(p) - w_u;
   st.load.(t) <- st.load.(t) + w_u;
   st.members.(p) <- st.members.(p) - 1;
@@ -336,40 +288,38 @@ let apply_move st u t conn =
   st.bw_excess <- st.bw_excess + d_bw;
   st.res_excess <- st.res_excess + d_res;
   st.cut <- st.cut + d_cut;
-  if st.cache then begin
-    (* Patch the caches from the *true* edge weights — never from the
-       caller's [conn], so a corrupted delta still leaves the caches in
-       sync with the labels and the validator pins the divergence on the
-       scalar totals. u's own row is unchanged by its own move. *)
-    let row_u = u * k in
-    st.ed.(u) <- st.ed.(u) + st.conn.(row_u + p) - st.conn.(row_u + t);
-    Wgraph.iter_neighbors st.g u (fun v w ->
-        let rv = v * k in
-        st.conn.(rv + p) <- st.conn.(rv + p) - w;
-        st.conn.(rv + t) <- st.conn.(rv + t) + w;
-        let pv = st.part.(v) in
-        if pv = p then st.ed.(v) <- st.ed.(v) + w
-        else if pv = t then st.ed.(v) <- st.ed.(v) - w;
-        active_refresh st v);
-    chain_unlink st u;
-    chain_push st t u;
-    active_refresh st u;
-    (* An Rmax crossing flips the activity of a whole part's interior:
-       refresh exactly that part's members via its chain. *)
-    if p_was_over && st.load.(p) <= rmax then begin
-      let x = ref st.pl_head.(p) in
-      while !x >= 0 do
-        active_refresh st !x;
-        x := st.pl_next.(!x)
-      done
-    end;
-    if (not t_was_over) && st.load.(t) > rmax then begin
-      let x = ref st.pl_head.(t) in
-      while !x >= 0 do
-        active_add st !x;
-        x := st.pl_next.(!x)
-      done
-    end
+  (* Patch the caches from the *true* edge weights — never from the
+     caller's [conn], so a corrupted delta still leaves the caches in
+     sync with the labels and the validator pins the divergence on the
+     scalar totals. u's own row is unchanged by its own move. *)
+  let row_u = u * k in
+  st.ed.(u) <- st.ed.(u) + st.conn.(row_u + p) - st.conn.(row_u + t);
+  Wgraph.iter_neighbors st.g u (fun v w ->
+      let rv = v * k in
+      st.conn.(rv + p) <- st.conn.(rv + p) - w;
+      st.conn.(rv + t) <- st.conn.(rv + t) + w;
+      let pv = st.part.(v) in
+      if pv = p then st.ed.(v) <- st.ed.(v) + w
+      else if pv = t then st.ed.(v) <- st.ed.(v) - w;
+      active_refresh st v);
+  chain_unlink st u;
+  chain_push st t u;
+  active_refresh st u;
+  (* An Rmax crossing flips the activity of a whole part's interior:
+     refresh exactly that part's members via its chain. *)
+  if p_was_over && st.load.(p) <= rmax then begin
+    let x = ref st.pl_head.(p) in
+    while !x >= 0 do
+      active_refresh st !x;
+      x := st.pl_next.(!x)
+    done
+  end;
+  if (not t_was_over) && st.load.(t) > rmax then begin
+    let x = ref st.pl_head.(t) in
+    while !x >= 0 do
+      active_add st !x;
+      x := st.pl_next.(!x)
+    done
   end
 
 let violation st =
@@ -394,7 +344,7 @@ let best_target st conn u =
      everywhere but at [p], so [move_deltas] degenerates to a closed
      form — only the (p, t) bandwidth pair and the two loads change.
      Algebraically identical to the general case, O(1) per target. *)
-  let interior = st.cache && st.ed.(u) = 0 in
+  let interior = st.ed.(u) = 0 in
   let bmax = st.c.Types.bmax and rmax = st.c.Types.rmax in
   let w_u = Wgraph.node_weight st.g u in
   let cp = conn.(p) in

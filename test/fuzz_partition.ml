@@ -17,6 +17,7 @@
 open Ppnpart_graph
 open Ppnpart_partition
 module Check = Ppnpart_check.Check
+module Oracle = Ppnpart_oracle
 
 let mode =
   if Sys.getenv_opt "PPNPART_FUZZ" = Some "full" then `Full
@@ -144,18 +145,19 @@ let test_bucket_vs_exact_pass () =
       (Refine_constrained.exact_fm_pass st)
   done
 
-(* --- boundary-driven refine vs the legacy full-scan oracle --- *)
+(* --- boundary-driven refine vs the full-scan oracle --- *)
 
-(* The boundary path promises *bit*-identity with the legacy full-scan
+(* The boundary path promises *bit*-identity with the full-scan oracle
    refine, not merely equal quality: both consume the same rng draw
    sequence (the greedy sweep still shuffles the full n-permutation and
    only skips inactive nodes), so the partitions and goodness must match
    exactly. One workspace serves the whole sweep — sizes go up and down
    across seeds, exercising both growth and steady-state reuse of the
-   state banks and refinement scratch — and every fifth seed runs under
-   installed invariant checks, revalidating the connectivity caches and
-   active set at each phase boundary along the way. *)
-let test_boundary_vs_legacy_refine () =
+   state banks and refinement scratch — and every fifth seed runs both
+   under installed invariant checks: the boundary run revalidates its
+   connectivity caches and active set, the oracle its incremental totals,
+   at each phase boundary along the way. *)
+let test_boundary_vs_oracle_refine () =
   let seeds = match mode with `Quick -> 8 | `Default -> 18 | `Full -> 48 in
   let ws = Workspace.create () in
   for seed = 1 to seeds do
@@ -166,31 +168,66 @@ let test_boundary_vs_legacy_refine () =
     let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
     let guard f = if seed mod 5 = 0 then Check.with_checks f else f () in
     let r_fast = Random.State.make [| 0xF9; seed |] in
-    let r_legacy = Random.State.copy r_fast in
+    let r_oracle = Random.State.copy r_fast in
     let part_fast, gd_fast =
       guard (fun () ->
           Refine_constrained.refine ~workspace:ws r_fast g c
             (Array.copy part0))
     in
-    let part_legacy, gd_legacy =
-      guard (fun () ->
-          Refine_constrained.refine ~legacy:true r_legacy g c
-            (Array.copy part0))
+    let part_oracle, gd_oracle =
+      guard (fun () -> Oracle.Refine.refine r_oracle g c (Array.copy part0))
     in
     check_bool (name ^ ": partitions bit-identical") true
-      (part_fast = part_legacy);
+      (part_fast = part_oracle);
     check_int
       (name ^ ": violation identical")
-      gd_legacy.Metrics.violation gd_fast.Metrics.violation;
-    check_int (name ^ ": cut identical") gd_legacy.Metrics.cut_value
+      gd_oracle.Metrics.violation gd_fast.Metrics.violation;
+    check_int (name ^ ": cut identical") gd_oracle.Metrics.cut_value
       gd_fast.Metrics.cut_value;
     (* Equal rng consumption: after both runs the streams must be in the
        same state, so their next draws coincide. *)
     check_int
       (name ^ ": same rng draws consumed")
-      (Random.State.int r_legacy 1_000_000)
+      (Random.State.int r_oracle 1_000_000)
       (Random.State.int r_fast 1_000_000)
   done
+
+(* The oracle has no [Part_state], so the installed validator never
+   sees it; with checks on it diffs its own totals through
+   [Check.totals] at the three sites the production refiner validates.
+   Below the 512-node exact-rescue size all three fire. [Check.totals]
+   itself must pin a divergence on the field that diverged. *)
+let test_oracle_validated_under_checks () =
+  let rng = Random.State.make [| 0xFC; 1 |] in
+  let g, c, part0 = random_instance ~n:200 ~k:4 rng in
+  let _, cap =
+    Ppnpart_obs.Obs.with_capture (fun () ->
+        Check.with_checks (fun () ->
+            Oracle.Refine.refine (Random.State.make [| 0xFD |]) g c part0))
+  in
+  let totals = Ppnpart_obs.Trace_export.counter_totals cap in
+  List.iter
+    (fun site ->
+      check_bool (site ^ " validated") true
+        (match List.assoc_opt ("check." ^ site) totals with
+         | Some v -> v > 0
+         | None -> false))
+    [ "refine.constrained"; "fm_pass.rollback"; "exact_pass.rollback" ];
+  let k = c.Types.k in
+  let bw = Metrics.bandwidth_matrix g ~k part0 in
+  let load = Metrics.part_resources g ~k part0 in
+  let members = Array.make k 0 in
+  Array.iter (fun p -> members.(p) <- members.(p) + 1) part0;
+  let totals ~cut =
+    Check.totals ~site:"fuzz.totals" g c ~part:part0 ~bw ~load ~members ~cut
+      ~bw_excess:(Metrics.bandwidth_excess g c part0)
+      ~res_excess:(Metrics.resource_excess g c part0)
+  in
+  totals ~cut:(Metrics.cut g part0);
+  match totals ~cut:(Metrics.cut g part0 + 1) with
+  | () -> Alcotest.fail "corrupted cut went undetected"
+  | exception Check.Violation { field; _ } ->
+    Alcotest.(check string) "divergence blamed on the cut" "cut" field
 
 (* --- refinement on parallel domains vs the serial refiners --- *)
 
@@ -199,10 +236,11 @@ let test_boundary_vs_legacy_refine () =
    mutable state beyond its own workspace and rng. Here every instance
    of the sweep is refined as one task of a width-4 pool, each task on
    a fresh workspace, and the answers must be bit-identical to the
-   serial refiner and to the legacy oracle run afterwards on the main
+   serial refiner and to the full-scan oracle run afterwards on the main
    domain: same partitions, same goodness, same rng consumption. Sizes
-   straddle the 512-node exact-rescue size; every fifth serial oracle
-   run is under installed invariant checks. *)
+   straddle the 512-node exact-rescue size; every fifth serial run is
+   under installed invariant checks, which validate its caches and
+   active set as well as its totals. *)
 let test_parallel_vs_serial_refine () =
   let seeds = match mode with `Quick -> 10 | `Default -> 24 | `Full -> 48 in
   let instances =
@@ -214,13 +252,12 @@ let test_parallel_vs_serial_refine () =
         let g, c, part0 = random_instance ~n ~k rng in
         (seed, g, c, part0))
   in
-  let refine ?workspace ?legacy seed g c part0 =
+  let run refine seed g c part0 =
     let r = Random.State.make [| 0xFB; seed |] in
-    let part, gd =
-      Refine_constrained.refine ?workspace ?legacy r g c (Array.copy part0)
-    in
+    let part, gd = refine r g c (Array.copy part0) in
     (Array.copy part, gd, Random.State.int r 1_000_000)
   in
+  let refine ?workspace = run (Refine_constrained.refine ?workspace) in
   let parallel =
     Ppnpart_exec.Pool.run ~jobs:4
       (Array.map
@@ -235,30 +272,32 @@ let test_parallel_vs_serial_refine () =
       in
       let guard f = if seed mod 5 = 0 then Check.with_checks f else f () in
       let part_par, gd_par, d_par = parallel.(i) in
-      let part_serial, gd_serial, d_serial = refine seed g c part0 in
-      let part_legacy, gd_legacy, d_legacy =
-        guard (fun () -> refine ~legacy:true seed g c part0)
+      let part_serial, gd_serial, d_serial =
+        guard (fun () -> refine seed g c part0)
+      in
+      let part_oracle, gd_oracle, d_oracle =
+        run Oracle.Refine.refine seed g c part0
       in
       check_bool (name ^ ": parallel = serial partitions") true
         (part_par = part_serial);
-      check_bool (name ^ ": parallel = legacy partitions") true
-        (part_par = part_legacy);
+      check_bool (name ^ ": parallel = oracle partitions") true
+        (part_par = part_oracle);
       check_int
         (name ^ ": violation identical")
         gd_serial.Metrics.violation gd_par.Metrics.violation;
       check_int (name ^ ": cut identical") gd_serial.Metrics.cut_value
         gd_par.Metrics.cut_value;
       check_int
-        (name ^ ": legacy goodness identical")
-        gd_legacy.Metrics.violation gd_par.Metrics.violation;
+        (name ^ ": oracle goodness identical")
+        gd_oracle.Metrics.violation gd_par.Metrics.violation;
       check_int (name ^ ": same rng draws consumed (serial)") d_serial d_par;
-      check_int (name ^ ": same rng draws consumed (legacy)") d_legacy d_par)
+      check_int (name ^ ": same rng draws consumed (oracle)") d_oracle d_par)
     instances
 
 (* --- allocation-free coarsening kernels vs the boxed-tuple oracle --- *)
 
 (* The CSR fast paths promise *bit*-identity, not just isomorphism:
-   every array of the coarse graph must match the legacy result exactly
+   every array of the coarse graph must match the oracle result exactly
    (same neighbour order, same weight sums, same cmap). Compare raw
    private-record fields — [Wgraph.equal] would also accept reordered
    slices. *)
@@ -269,7 +308,7 @@ let bit_identical (a : Wgraph.t) (b : Wgraph.t) =
   && a.Wgraph.adjwgt = b.Wgraph.adjwgt
   && a.Wgraph.vwgt = b.Wgraph.vwgt
 
-let test_contract_fast_vs_legacy () =
+let test_contract_fast_vs_oracle () =
   let seeds = match mode with `Quick -> 6 | `Default -> 14 | `Full -> 36 in
   (* One workspace for the whole sweep: sizes go up and down across
      seeds, exercising both growth and reuse of the scratch arrays. *)
@@ -286,43 +325,44 @@ let test_contract_fast_vs_legacy () =
       (fun s ->
         let r1 = Random.State.copy rng and r2 = Random.State.copy rng in
         let fast = Matching.compute ~workspace:ws s r1 g in
-        let legacy = Matching.compute_legacy s r2 g in
+        let oracle = Oracle.Matching.compute s r2 g in
         check_bool
-          (Printf.sprintf "%s fast = legacy (%s)" (Matching.strategy_name s)
+          (Printf.sprintf "%s fast = oracle (%s)" (Matching.strategy_name s)
              name)
-          true (fast = legacy))
+          true (fast = oracle))
       Matching.all_strategies;
     (* Contraction: same matching through both kernels must yield the
        same coarse graph bit for bit, and the same cmap. *)
     let partner = Matching.compute ~workspace:ws Matching.Heavy_edge rng g in
     let fast_g, fast_map = Coarsen.contract ~workspace:ws g partner in
-    let legacy_g, legacy_map = Coarsen.contract_legacy g partner in
+    let oracle_g, oracle_map = Oracle.Coarsen.contract g partner in
     check_bool (name ^ ": contract cmap identical") true
-      (fast_map = legacy_map);
+      (fast_map = oracle_map);
     check_bool (name ^ ": contract graph bit-identical") true
-      (bit_identical fast_g legacy_g)
+      (bit_identical fast_g oracle_g)
   done;
-  (* Whole hierarchies: the workspace path and the legacy path must
-     agree level by level, maps included. *)
+  (* Whole hierarchies: the workspace path and the oracle must agree
+     level by level, maps included. *)
   let h_seeds = match mode with `Quick -> 3 | `Default -> 6 | `Full -> 12 in
   for seed = 1 to h_seeds do
     let mk () = Random.State.make [| 0xF7; seed |] in
     let n = 120 + (97 * seed mod 900) in
     let g, _, _ = random_instance ~n ~k:4 (mk ()) in
     let h_fast = Coarsen.build ~workspace:ws ~target:16 (mk ()) g in
-    let h_legacy = Coarsen.build ~legacy:true ~target:16 (mk ()) g in
+    let h_oracle = Oracle.Coarsen.build ~target:16 (mk ()) g in
     let name = Printf.sprintf "hierarchy n=%d seed=%d" n seed in
-    check_int (name ^ ": same level count") (Coarsen.levels h_legacy)
+    check_int (name ^ ": same level count")
+      (Array.length h_oracle.Oracle.Coarsen.graphs)
       (Coarsen.levels h_fast);
     for l = 0 to Coarsen.levels h_fast - 1 do
       check_bool
         (Printf.sprintf "%s: level %d bit-identical" name l)
         true
         (bit_identical (Coarsen.graph_at h_fast l)
-           (Coarsen.graph_at h_legacy l))
+           h_oracle.Oracle.Coarsen.graphs.(l))
     done;
     check_bool (name ^ ": maps identical") true
-      (h_fast.Coarsen.maps = h_legacy.Coarsen.maps)
+      (h_fast.Coarsen.maps = h_oracle.Oracle.Coarsen.maps)
   done
 
 (* --- matching validity, all three strategies --- *)
@@ -686,11 +726,13 @@ let () =
           Alcotest.test_case "bucket FM vs exact pass" `Quick
             test_bucket_vs_exact_pass;
           Alcotest.test_case "boundary refine vs legacy oracle" `Quick
-            test_boundary_vs_legacy_refine;
+            test_boundary_vs_oracle_refine;
+          Alcotest.test_case "oracle refine validated under checks" `Quick
+            test_oracle_validated_under_checks;
           Alcotest.test_case "parallel refine vs serial oracle" `Quick
             test_parallel_vs_serial_refine;
           Alcotest.test_case "coarsen fast path vs legacy" `Quick
-            test_contract_fast_vs_legacy;
+            test_contract_fast_vs_oracle;
           Alcotest.test_case "stream vs multilevel feasibility" `Quick
             test_stream_vs_multilevel_feasibility;
           Alcotest.test_case "chunked vs sequential vs multilevel" `Quick

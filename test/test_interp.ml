@@ -2,6 +2,7 @@
    validation of the dependence analysis. *)
 
 open Ppnpart_poly
+open Ppnpart_oracle
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

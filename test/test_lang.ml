@@ -154,7 +154,7 @@ let test_pipeline_through_derive () =
   (* s0, s1 + src_In + snk_B *)
   check_int "processes" 4 (Ppnpart_ppn.Ppn.n_processes ppn);
   check_bool "dataflow validates" true
-    (Poly.Dataflow_check.verify
+    (Ppnpart_oracle.Dataflow_check.verify
        (List.map
           (fun s -> (s, fun _ reads -> List.fold_left ( + ) 1 reads))
           (parse_ok chain_src)))

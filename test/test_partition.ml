@@ -981,34 +981,34 @@ let test_refine_workspace_reuse () =
   let pa'', _ = run ~workspace:ws a in
   check_bool "warmed workspace reproduces the first call" true (pa = pa'')
 
-(* --- Boundary refiner on degenerate shapes, against the legacy
-   full-scan oracle --- *)
+(* --- Boundary refiner on degenerate shapes, against the full-scan
+   oracle --- *)
 
 (* Past the 512-node exact-rescue size, so the boundary refiner runs
    its bucket passes only. *)
 let n_edge = 700
 
-(* Run the cached refiner and the cache-less legacy oracle from
-   identical inputs; assert bit-identical partitions, goodness and rng
+(* Run the boundary refiner and the full-scan oracle from identical
+   inputs; assert bit-identical partitions, goodness and rng
    consumption. Returns the common partition. *)
-let assert_matches_legacy name g c part0 =
+let assert_matches_oracle name g c part0 =
   let r_fast = Random.State.make [| 0xA1; 7 |] in
-  let r_legacy = Random.State.copy r_fast in
+  let r_oracle = Random.State.copy r_fast in
   let part_fast, gd_fast =
     Refine_constrained.refine r_fast g c (Array.copy part0)
   in
-  let part_legacy, gd_legacy =
-    Refine_constrained.refine ~legacy:true r_legacy g c (Array.copy part0)
+  let part_oracle, gd_oracle =
+    Ppnpart_oracle.Refine.refine r_oracle g c (Array.copy part0)
   in
   check_bool (name ^ ": partitions bit-identical") true
-    (part_fast = part_legacy);
-  check_int (name ^ ": violation") gd_legacy.Metrics.violation
+    (part_fast = part_oracle);
+  check_int (name ^ ": violation") gd_oracle.Metrics.violation
     gd_fast.Metrics.violation;
-  check_int (name ^ ": cut") gd_legacy.Metrics.cut_value
+  check_int (name ^ ": cut") gd_oracle.Metrics.cut_value
     gd_fast.Metrics.cut_value;
   check_int
     (name ^ ": same rng draws consumed")
-    (Random.State.int r_legacy 1_000_000)
+    (Random.State.int r_oracle 1_000_000)
     (Random.State.int r_fast 1_000_000);
   part_fast
 
@@ -1024,7 +1024,7 @@ let test_edge_k2_single_pair () =
     let u = Random.State.int rng n_edge in
     part0.(u) <- 1 - part0.(u)
   done;
-  ignore (assert_matches_legacy "k2" g c part0)
+  ignore (assert_matches_oracle "k2" g c part0)
 
 (* Alternating labels on a connected graph: every node is boundary, so
    the active set is the whole graph. *)
@@ -1036,7 +1036,7 @@ let test_edge_all_nodes_active () =
   let part0 = Array.init n_edge (fun u -> u mod 4) in
   let st = Part_state.init g c (Array.copy part0) in
   check_int "everything starts active" n_edge st.Part_state.n_active;
-  ignore (assert_matches_legacy "all-active" g c part0)
+  ignore (assert_matches_oracle "all-active" g c part0)
 
 (* Disjoint rings, each wholly inside one part, loads within Rmax: the
    active set is empty and the partition must come back untouched. *)
@@ -1056,7 +1056,7 @@ let test_edge_empty_active_set () =
   let part0 = Array.init n (fun u -> u / per) in
   let st = Part_state.init g c (Array.copy part0) in
   check_int "active set empty" 0 st.Part_state.n_active;
-  let refined = assert_matches_legacy "empty-active" g c part0 in
+  let refined = assert_matches_oracle "empty-active" g c part0 in
   check_bool "partition untouched" true (refined = part0)
 
 (* --- Initial --- *)
