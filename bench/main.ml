@@ -895,15 +895,18 @@ let run_mode ?(jobs = Config.default.Config.jobs) mode g c =
   Gp.partition ~config:{ Config.default with Config.mode; jobs } g c
 
 (* Stream and hybrid against the full V-cycle on the same instance.
-   Multilevel is timed once — it is the 10x+ slower side and the smoke
-   gate leaves that much margin — while stream and hybrid take the min
-   over [reps] compacted runs. A jobs=4 stream run is compared
+   All three modes take the min over [reps] compacted runs, so the
+   smoke gate "hybrid slower than multilevel" compares like with like
+   rather than one cold multilevel run against a best-of-[reps] hybrid
+   (that mix flaked the gate). A jobs=4 stream run is compared
    bit-for-bit against jobs=1: the streaming path never touches the
    domain pool, so any divergence is a determinism regression. *)
 let mode_bench ~n_target ~reps =
   let g, c = mode_instance ~n_target in
   let n = Wgraph.n_nodes g in
-  let ml, ml_s = time (fun () -> run_mode Config.Multilevel g c) in
+  let ml, ml_s =
+    compacted_min ~reps (fun () -> run_mode Config.Multilevel g c)
+  in
   let st, stream_s =
     compacted_min ~reps (fun () -> run_mode Config.Stream g c)
   in

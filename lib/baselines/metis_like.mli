@@ -13,11 +13,6 @@
 
 open Ppnpart_graph
 
-type initial = Graph_growing | Recursive_bisection
-(** Coarsest-graph seeding: greedy graph growing (default) or recursive
-    FM bisection — the classic PMETIS path (requires no particular [k],
-    but is best balanced when [k] is a power of two). *)
-
 type refinement = Greedy | Fm
 (** Un-coarsening refinement: [Greedy] (randomized positive-gain sweeps,
     METIS's default style, used in the paper comparison) or [Fm]
@@ -33,17 +28,14 @@ type stats = {
 
 val partition :
   ?seed:int ->
-  ?imbalance:float ->
-  ?coarsen_target:int ->
   ?refinement:refinement ->
-  ?initial:initial ->
   Wgraph.t ->
   k:int ->
   stats
-(** [partition g ~k]. [imbalance] defaults to 1.03; [coarsen_target] to
-    [max 30 (4 * k)]; [refinement] to [Greedy]; [initial] to
-    [Graph_growing]; [seed] to 0 (runs are deterministic for a fixed
-    seed). *)
+(** [partition g ~k]: coarsen to [max 30 (4 * k)] nodes, seed by
+    greedy graph growing, refine within load imbalance 1.03 (METIS 5's
+    default). [refinement] defaults to [Greedy]; [seed] to 0 (runs are
+    deterministic for a fixed seed). *)
 
 val log_src : Logs.Src.t
 (** The [ppnpart.baselines] log source. *)

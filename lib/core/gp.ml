@@ -174,17 +174,6 @@ let exhaustive_limit = 10
    sequential schedule exactly at every job count. *)
 let parallel_cycle_threshold = 4096
 
-(* Constraint slack can be tight enough that the feasible set is a
-   needle: every V-cycle candidate lands in the same infeasible basin
-   and single-move FM refinement cannot climb out (observed on planted
-   instances with 25% bandwidth slack). When the whole cycle budget ends
-   infeasible on a small graph, one bounded tabu polish — deterministic,
-   move-many-times — escapes such basins. It runs only where the answer
-   would otherwise be "infeasible", so every instance GP already solves
-   is returned bit-for-bit unchanged. *)
-let tabu_rescue_limit = 512
-let tabu_rescue_iterations n = 100 + (20 * n)
-
 let exhaustive_best g (c : Types.constraints) =
   let n = Wgraph.n_nodes g in
   (* Canonical labels stay below [min n k], so evaluating under [k = n]
@@ -212,6 +201,94 @@ let exhaustive_best g (c : Types.constraints) =
   go 0 0;
   !best
 
+(* ------------------------------------------------------------------ *)
+(* The shared tail of every path that hands back a labelling — the
+   cyclic scheme's final decision (Section IV.C): refine a complete
+   labelling in place ([polish]), rescue it by tabu search if it is
+   still infeasible on a small graph ([rescue]), and pack it into the
+   one [result] record ([result_of]). *)
+
+(* Constraint slack can be tight enough that the feasible set is a
+   needle: every candidate lands in the same infeasible basin and
+   single-move FM refinement cannot climb out (observed on planted
+   instances with 25% bandwidth slack). When a path ends infeasible on a
+   small graph, one bounded tabu polish — deterministic, move-many-times
+   — escapes such basins. It runs only where the answer would otherwise
+   be "infeasible", so every instance GP already solves is returned
+   bit-for-bit unchanged. A rescue that improves the goodness is kept
+   and its goodness pushed on [history] (newest first). *)
+let tabu_rescue_limit = 512
+let tabu_rescue_iterations n = 100 + (20 * n)
+
+let rescue ~site ~workspace g c ((part, goodness, history) as best) =
+  let n = Wgraph.n_nodes g in
+  if goodness.Metrics.violation = 0 || n > tabu_rescue_limit then best
+  else begin
+    let rescued, gd =
+      Refine_tabu.refine ~iterations:(tabu_rescue_iterations n) ~workspace g c
+        part
+    in
+    if Ppnpart_check.Check.enabled () then
+      Ppnpart_check.Check.partition ~site:(site ^ ".rescue") g c rescued;
+    if Metrics.compare_goodness gd goodness < 0 then
+      (rescued, gd, gd :: history)
+    else best
+  end
+
+(* Refine a complete labelling of [g] in place with the boundary-driven
+   refiner, then [rescue] it. The refiner only ever commits strict
+   improvements, so the answer is never worse than [labels]; the seed's
+   goodness opens the history so callers can see what refinement
+   bought. [labels] becomes the state's own array. *)
+let polish ~site ~(config : Config.t) ~workspace rng g c labels =
+  let checking = Ppnpart_check.Check.enabled () in
+  if checking then
+    Ppnpart_check.Check.partition ~site:(site ^ ".seed") g c labels;
+  let seed_goodness = Metrics.goodness g c labels in
+  let st = Part_state.init ~workspace g c labels in
+  Refine_constrained.refine_state ~max_passes:config.Config.refine_passes rng
+    st;
+  if checking then begin
+    let site = site ^ ".refined" in
+    Ppnpart_check.Check.part_state ~site st;
+    Ppnpart_check.Check.partition ~site g c st.Part_state.part
+  end;
+  let part = Part_state.snapshot st in
+  rescue ~site ~workspace g c
+    (part, Metrics.goodness g c part, [ seed_goodness ])
+
+(* One quality pass feeds goodness and the report; the same record backs
+   the CLI tables and the run report downstream. [history] is newest
+   first. *)
+let result_of ~t0 ?(history = []) ~cycles ~levels g c part =
+  let q = Metrics.quality g c part in
+  let goodness = Metrics.goodness_of_quality c q in
+  let runtime_s = Unix.gettimeofday () -. t0 in
+  {
+    part;
+    feasible = goodness.Metrics.violation = 0;
+    goodness;
+    report = Metrics.report_of_quality ~runtime_s q;
+    cycles_used = cycles;
+    levels;
+    runtime_s;
+    history = List.rev history;
+  }
+
+(* Inputs where heuristics have nothing to decide — no nodes, one part,
+   at least as many parts as nodes, or no edges (every labelling has cut
+   0 and the objective is load placement only). [run_partition] answers
+   them by its canonical dispatch whatever the requested mode, and
+   [run_repartition] sends them there: with no boundary to refine there
+   is nothing incremental to save. *)
+let degenerate g (c : Types.constraints) =
+  let n = Wgraph.n_nodes g in
+  n = 0 || c.Types.k = 1 || n <= c.Types.k || Wgraph.n_edges g = 0
+
+let with_config_checks (config : Config.t) f =
+  if config.Config.debug_checks then Ppnpart_check.Check.with_checks f
+  else f ()
+
 let run_partition ~(config : Config.t) g (c : Types.constraints) =
   Config.validate config;
   (* No jobs-dependent attribute may appear here: the exported trace is
@@ -233,46 +310,26 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
   let jobs = Pool.resolve config.Config.jobs in
   let rng = Random.State.make [| config.Config.seed; 0x6770 |] in
   let n = Wgraph.n_nodes g in
-  let finish ?(history = []) part cycles levels =
-    (* One quality pass feeds goodness and the report; the same record
-       backs the CLI tables and the run report downstream. *)
-    let q = Metrics.quality g c part in
-    let goodness = Metrics.goodness_of_quality c q in
-    let runtime_s = Unix.gettimeofday () -. t0 in
-    {
-      part;
-      feasible = goodness.Metrics.violation = 0;
-      goodness;
-      report = Metrics.report_of_quality ~runtime_s q;
-      cycles_used = cycles;
-      levels;
-      runtime_s;
-      history = List.rev history;
-    }
-  in
   (* Degenerate dispatch, shared by every mode so that
      [--mode stream|hybrid|multilevel] agree by construction on the
-     cases where heuristics have nothing to decide (the n <= k class is
-     the PR 3 false-infeasibility fix; stream/hybrid used to bypass it
-     and hand these inputs to the streaming objective, which can and
-     did answer differently):
+     cases where heuristics have nothing to decide (the streaming
+     objective can and did answer these differently, and one node per
+     part can be a false infeasibility):
 
      - n = 0: the empty labelling;
      - k = 1: one part is the only labelling — running a pipeline can
        only burn cycles to reach it;
      - n <= k <= 10: exhaustive enumeration (see [exhaustive_best]);
-     - larger n <= k, and zero-edge graphs (every labelling has cut 0
-       and the objective is load placement only): the multilevel
-       pipeline is the canonical path regardless of the requested
-       mode. *)
-  if n = 0 then finish [||] 0 0
-  else if c.Types.k = 1 then finish (Array.make n 0) 0 0
+     - every other [degenerate] input: the multilevel pipeline is the
+       canonical path regardless of the requested mode. *)
+  if n = 0 then result_of ~t0 ~cycles:0 ~levels:0 g c [||]
+  else if c.Types.k = 1 then
+    result_of ~t0 ~cycles:0 ~levels:0 g c (Array.make n 0)
   else if n <= c.Types.k && n <= exhaustive_limit then
-    finish (exhaustive_best g c) 0 0
+    result_of ~t0 ~cycles:0 ~levels:0 g c (exhaustive_best g c)
   else
     let mode =
-      if n <= c.Types.k || Wgraph.n_edges g = 0 then Config.Multilevel
-      else config.Config.mode
+      if degenerate g c then Config.Multilevel else config.Config.mode
     in
     match mode with
     | Config.Stream ->
@@ -281,55 +338,21 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
         in
         if Ppnpart_check.Check.enabled () then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c part;
-        finish part 0 0
+        result_of ~t0 ~cycles:0 ~levels:0 g c part
     | Config.Hybrid ->
-        (* Stream once, then hand the labels straight to the
-           boundary-driven refiner — no coarsening, no V-cycle. The
-           refiner only ever commits strict improvements, so the result
-           is never worse than the streaming seed; its goodness is kept
-           as the single [history] entry so callers can see what
-           refinement bought. Pool-free and rng-seeded from
-           [config.seed] alone, so the hybrid stays bit-identical across
-           [--jobs] like the stream itself. *)
-        let checking = Ppnpart_check.Check.enabled () in
+        (* Stream once, then [polish] the labels — no coarsening, no
+           V-cycle. Pool-free and rng-seeded from [config.seed] alone,
+           so the hybrid stays bit-identical across [--jobs] like the
+           stream itself. *)
         let ws = Workspace.create () in
         let seed_part, _ =
           Stream.partition ~workspace:ws
             ~max_iterations:config.Config.stream_iterations g c
         in
-        if checking then
-          Ppnpart_check.Check.partition ~site:"gp.stream" g c seed_part;
-        let seed_goodness = Metrics.goodness g c seed_part in
-        let st = Part_state.init ~workspace:ws g c seed_part in
-        Refine_constrained.refine_state
-          ~max_passes:config.Config.refine_passes rng st;
-        if checking then begin
-          Ppnpart_check.Check.part_state ~site:"gp.hybrid.refined" st;
-          Ppnpart_check.Check.partition ~site:"gp.hybrid.refined" g c
-            st.Part_state.part
-        end;
-        let best_part = ref (Part_state.snapshot st) in
-        let best_goodness = ref (Metrics.goodness g c !best_part) in
-        let history = ref [ seed_goodness ] in
-        (* Same feasibility rescue as the multilevel path: single-move FM
-           from a streaming seed can be stuck one basin away from the
-           feasible set on small tight instances. *)
-        if !best_goodness.Metrics.violation > 0 && n <= tabu_rescue_limit
-        then begin
-          let rescued, gd =
-            Refine_tabu.refine ~iterations:(tabu_rescue_iterations n)
-              ~workspace:ws g c !best_part
-          in
-          if Metrics.compare_goodness gd !best_goodness < 0 then begin
-            if checking then
-              Ppnpart_check.Check.partition ~site:"gp.hybrid.rescue" g c
-                rescued;
-            best_part := rescued;
-            best_goodness := gd;
-            history := gd :: !history
-          end
-        end;
-        finish ~history:!history !best_part 0 0
+        let part, _, history =
+          polish ~site:"gp.hybrid" ~config ~workspace:ws rng g c seed_part
+        in
+        result_of ~t0 ~history ~cycles:0 ~levels:0 g c part
     | Config.Multilevel -> begin
     (* Speculative width is additionally capped by the hardware: wave
        cycles beyond the domains that can actually run them buy nothing
@@ -400,24 +423,16 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
       Ppnpart_obs.Obs.commit ~keep:!consumed deferred;
       next := first + wave
     done;
-    if !best_goodness.Metrics.violation > 0 && n <= tabu_rescue_limit then begin
-      let rescued, gd =
-        Refine_tabu.refine ~iterations:(tabu_rescue_iterations n)
-          ~workspace:workspaces.(0) g c !best_part
-      in
-      if Metrics.compare_goodness gd !best_goodness < 0 then begin
-        best_part := rescued;
-        best_goodness := gd;
-        history := gd :: !history
-      end
-    end;
-    finish ~history:!history !best_part !cycles (Coarsen.levels hierarchy)
+    let part, _, history =
+      rescue ~site:"gp.multilevel" ~workspace:workspaces.(0) g c
+        (!best_part, !best_goodness, !history)
+    in
+    result_of ~t0 ~history ~cycles:!cycles
+      ~levels:(Coarsen.levels hierarchy) g c part
   end
 
 let partition ?(config = Config.default) g c =
-  if config.Config.debug_checks then
-    Ppnpart_check.Check.with_checks (fun () -> run_partition ~config g c)
-  else run_partition ~config g c
+  with_config_checks config (fun () -> run_partition ~config g c)
 
 let partition_exn ?config g c =
   let r = partition ?config g c in
@@ -433,8 +448,8 @@ let partition_exn ?config g c =
    Design-space exploration re-partitions after every small PPN edit.
    Instead of a fresh V-cycle, project the previous labels through the
    edit's node map, let the streaming objective place the holes
-   (added/evicted nodes), and run only the boundary-driven refiner —
-   the same machinery a V-cycle runs after projecting one un-coarsening
+   (added/evicted nodes), and [polish] — the hybrid mode's tail, the
+   same machinery a V-cycle runs after projecting one un-coarsening
    level, with the edit playing the role of the coarse solution.
 
    Two gates protect quality: an edit touching more than
@@ -497,17 +512,9 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
       rp_edit = edit;
     }
   in
-  let scratch ?seeded () = mk ?seeded (run_partition ~config g' c) in
-  (* The degenerate classes route through [run_partition]'s canonical
-     dispatch — with no boundary to refine there is nothing incremental
-     to save. *)
-  let degenerate =
-    n' = 0 || c.Types.k = 1 || n' <= c.Types.k || Wgraph.n_edges g' = 0
-  in
-  if degenerate || edit_ratio > config.Config.repartition_gate then
-    scratch ()
+  if degenerate g' c || edit_ratio > config.Config.repartition_gate then
+    mk (run_partition ~config g' c)
   else begin
-    let checking = Ppnpart_check.Check.enabled () in
     let ws =
       match workspace with Some w -> w | None -> Workspace.create ()
     in
@@ -517,79 +524,27 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
           if o >= 0 then prev.(o) else -1)
     in
     let seeded = Stream.seed_partial ~workspace:ws g' c labels in
-    if checking then
-      Ppnpart_check.Check.partition ~site:"gp.repartition.seed" g' c labels;
-    let seed_goodness = Metrics.goodness g' c labels in
     let rng = Random.State.make [| config.Config.seed; 0x6770; 0x7270 |] in
-    let st = Part_state.init ~workspace:ws g' c labels in
-    Refine_constrained.refine_state
-      ~max_passes:config.Config.refine_passes rng st;
-    if checking then
-      Ppnpart_check.Check.partition ~site:"gp.repartition.refined" g' c
-        st.Part_state.part;
-    let best_part = ref (Part_state.snapshot st) in
-    let best_goodness = ref (Metrics.goodness g' c !best_part) in
-    let history = ref [ seed_goodness ] in
-    if !best_goodness.Metrics.violation > 0 && n' <= tabu_rescue_limit
-    then begin
-      let rescued, gd =
-        Refine_tabu.refine ~iterations:(tabu_rescue_iterations n')
-          ~workspace:ws g' c !best_part
-      in
-      if Metrics.compare_goodness gd !best_goodness < 0 then begin
-        if checking then
-          Ppnpart_check.Check.partition ~site:"gp.repartition.rescue" g' c
-            rescued;
-        best_part := rescued;
-        best_goodness := gd;
-        history := gd :: !history
-      end
-    end;
-    if !best_goodness.Metrics.violation > 0 then begin
-      (* Feasibility agreement with the from-scratch oracle: whenever
-         the incremental path ends infeasible, the full pipeline gets
-         its say, and the better of the two answers — so an instance
-         the pipeline can solve is never reported infeasible just
-         because it arrived as an edit. *)
-      let full = run_partition ~config g' c in
-      if Metrics.compare_goodness full.goodness !best_goodness < 0 then
+    let part, goodness, history =
+      polish ~site:"gp.repartition" ~config ~workspace:ws rng g' c labels
+    in
+    (* Feasibility agreement with the from-scratch oracle: whenever the
+       incremental path ends infeasible, the full pipeline gets its say,
+       and the better of the two answers — so an instance the pipeline
+       can solve is never reported infeasible just because it arrived
+       as an edit. *)
+    let full =
+      if goodness.Metrics.violation = 0 then None
+      else Some (run_partition ~config g' c)
+    in
+    match full with
+    | Some full when Metrics.compare_goodness full.goodness goodness < 0 ->
         mk ~seeded full
-      else begin
-        let q = Metrics.quality g' c !best_part in
-        let runtime_s = Unix.gettimeofday () -. t0 in
+    | _ ->
         mk ~incremental:true ~seeded
-          {
-            part = !best_part;
-            feasible = false;
-            goodness = !best_goodness;
-            report = Metrics.report_of_quality ~runtime_s q;
-            cycles_used = 0;
-            levels = 0;
-            runtime_s;
-            history = List.rev !history;
-          }
-      end
-    end
-    else begin
-      let q = Metrics.quality g' c !best_part in
-      let goodness = Metrics.goodness_of_quality c q in
-      let runtime_s = Unix.gettimeofday () -. t0 in
-      mk ~incremental:true ~seeded
-        {
-          part = !best_part;
-          feasible = true;
-          goodness;
-          report = Metrics.report_of_quality ~runtime_s q;
-          cycles_used = 0;
-          levels = 0;
-          runtime_s;
-          history = List.rev !history;
-        }
-    end
+          (result_of ~t0 ~history ~cycles:0 ~levels:0 g' c part)
   end
 
 let repartition ?(config = Config.default) ?workspace ~prev g c ops =
-  if config.Config.debug_checks then
-    Ppnpart_check.Check.with_checks (fun () ->
-        run_repartition ~config ?workspace ~prev g c ops)
-  else run_repartition ~config ?workspace ~prev g c ops
+  with_config_checks config (fun () ->
+      run_repartition ~config ?workspace ~prev g c ops)

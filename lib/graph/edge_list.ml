@@ -116,8 +116,3 @@ let normalized t =
     done
   done;
   out
-
-let of_arrays n edges =
-  let t = create ~expected_edges:(Array.length edges) n in
-  Array.iter (fun (u, v, w) -> add t u v w) edges;
-  t

@@ -40,6 +40,3 @@ val unsafe_of_soa :
     one edge per index, as an accumulator over [n] nodes, without
     copying or checking them. For callers that have validated the
     arrays ({!add}'s conditions) themselves. *)
-
-val of_arrays : int -> (int * int * int) array -> t
-(** [of_arrays n edges] bulk-loads [edges] into a fresh accumulator. *)

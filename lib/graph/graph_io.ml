@@ -101,15 +101,6 @@ module Builder = struct
     t.next_u <- t.next_u + 1;
     t.xadj.(t.next_u) <- t.m2
 
-  (* Convenience for programmatic producers (generators, tests): one
-     whole row from parallel arrays. *)
-  let add_row t ~vwgt ~deg ~adj ~adjw =
-    set_vwgt t vwgt;
-    for i = 0 to deg - 1 do
-      mention t adj.(i) adjw.(i)
-    done;
-    end_row t
-
   let pair_name u v =
     let a = min u v and b = max u v in
     Printf.sprintf "%d-%d" (a + 1) (b + 1)

@@ -26,53 +26,15 @@ val of_metis : string -> Wgraph.t
     re-raised as [Failure] too, so parsing untrusted text needs exactly
     one handler. *)
 
-module Builder : sig
-  (** Incremental CSR construction from adjacency rows supplied in node
-      order. Per-mention checks (neighbour range, self loops) run on
-      arrival; whole-graph checks (duplicates, symmetry, negative
-      weights, the declared edge count) run once at {!finish}. All
-      error messages are {!of_metis}'s. *)
-
-  type t
-
-  val create : ?m_decl:int -> int -> t
-  (** [create ?m_decl n]: builder for an [n]-node graph. When [m_decl]
-      is given, {!finish} checks the undirected edge count against it
-      ("declared %d edges, found %d").
-      @raise Failure if [n < 0] (the {!of_metis} bad-header message). *)
-
-  val rows_done : t -> int
-  (** Number of completed rows, i.e. the id of the next row expected. *)
-
-  val set_vwgt : t -> int -> unit
-  (** Weight of the current (in-progress) row's node; default [1]. *)
-
-  val mention : t -> int -> int -> unit
-  (** [mention t v w]: one 0-based neighbour mention of weight [w] in
-      the current row.
-      @raise Failure on out-of-range or self-loop, with the
-      {!of_metis} message. *)
-
-  val end_row : t -> unit
-  (** Seal the current row and move to the next node. *)
-
-  val add_row :
-    t -> vwgt:int -> deg:int -> adj:int array -> adjw:int array -> unit
-  (** Whole row at once from parallel arrays (first [deg] entries). *)
-
-  val finish : t -> Wgraph.t
-  (** Run the deferred whole-graph validation and build.
-      @raise Failure (and only [Failure], as {!of_metis}) on missing
-      rows, duplicate or asymmetric adjacency, asymmetric or negative
-      weights, or an edge-count mismatch. *)
-end
-
 module Rows : sig
   (** Resumable cursor over METIS [.graph] text fed in arbitrary
       pieces: the reader behind {!of_metis} and the daemon's chunked
       upload. Complete lines are tokenized as they arrive (an
       incomplete trailing line is carried to the next {!feed}) and
-      pushed into a {!Builder}. *)
+      pushed into a CSR builder that checks each neighbour mention
+      (range, self loop) on arrival and the whole graph (duplicates,
+      symmetry, negative weights, the declared edge count) once at
+      {!finish}. *)
 
   type t
 

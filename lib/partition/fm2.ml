@@ -1,7 +1,5 @@
 open Ppnpart_graph
 
-let cut2 g part = Metrics.cut g part
-
 (* Gain of moving [u] to the other side: external minus internal weight. *)
 let gain_of g part u =
   Wgraph.fold_neighbors g u

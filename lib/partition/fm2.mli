@@ -9,9 +9,6 @@
 
 open Ppnpart_graph
 
-val cut2 : Wgraph.t -> int array -> int
-(** Cut of a two-way partition (entries 0/1). *)
-
 val refine :
   ?max_passes:int ->
   ?balance_tolerance:float ->

@@ -165,16 +165,6 @@ let test_metis_like_deterministic () =
   check_bool "same partition" true (a.Metis_like.part = b.Metis_like.part);
   check_int "same cut" a.Metis_like.cut b.Metis_like.cut
 
-let test_metis_like_recursive_bisection_initial () =
-  let g = grid ~w:8 ~h:8 in
-  let s =
-    Metis_like.partition ~initial:Metis_like.Recursive_bisection g ~k:4
-  in
-  Types.check_partition ~n:64 ~k:4 s.Metis_like.part;
-  check_int "all parts used" 4 (Types.parts_used s.Metis_like.part);
-  (* the multilevel machinery still produces a decent cut *)
-  check_bool "cut sane" true (s.Metis_like.cut <= 40)
-
 let test_metis_like_fm_refinement_variant () =
   let g = grid ~w:8 ~h:8 in
   let greedy = Metis_like.partition ~refinement:Metis_like.Greedy g ~k:4 in
@@ -350,8 +340,6 @@ let () =
             test_metis_like_deterministic;
           Alcotest.test_case "ignores constraints" `Quick
             test_metis_like_ignores_constraints;
-          Alcotest.test_case "recursive bisection initial" `Quick
-            test_metis_like_recursive_bisection_initial;
           Alcotest.test_case "fm refinement variant" `Quick
             test_metis_like_fm_refinement_variant;
           Alcotest.test_case "imbalance metric" `Quick

@@ -239,6 +239,45 @@ let test_repartition_rejects_bad_prev () =
     Alcotest.fail "out-of-range prev accepted"
   with Invalid_argument _ -> ()
 
+(* --- the shared rescue tail --- *)
+
+(* [ppnpart gen --kind gnm -n 300 -m 900 --seed 1] under k = 4,
+   bmax 150, rmax 2600: multilevel, hybrid and a one-edge repartition of
+   the hybrid labels all end refinement infeasible, and the small-graph
+   tabu rescue improves each. Every path must reach it through the one
+   checked rescue, so each bumps its own [check.<site>.rescue]. *)
+let test_rescue_checked_on_every_path () =
+  let g =
+    Rand_graph.gnm ~vw_range:(10, 50) ~ew_range:(1, 9)
+      (Random.State.make [| 1 |]) ~n:300 ~m:900
+  in
+  let c = Types.constraints ~k:4 ~bmax:150 ~rmax:2600 in
+  let hybrid = ref [||] in
+  let paths =
+    [ ("gp.multilevel", fun () -> ignore (run_mode Config.Multilevel g c));
+      ("gp.hybrid", fun () -> hybrid := (run_mode Config.Hybrid g c).Gp.part);
+      ( "gp.repartition",
+        fun () ->
+          ignore
+            (Gp.repartition ~prev:!hybrid g c
+               [ Graph_edit.Add_edge (0, 5, 3) ]) ) ]
+  in
+  List.iter
+    (fun (site, run) ->
+      let (), snap =
+        Ppnpart_obs.Metrics_registry.with_registry (fun () ->
+            Ppnpart_check.Check.with_checks run)
+      in
+      let counter name =
+        Option.value ~default:0
+          (List.assoc_opt name snap.Ppnpart_obs.Metrics_registry.counters)
+      in
+      check_bool (site ^ ": tabu improved") true
+        (counter "tabu.improvements" > 0);
+      check_bool (site ^ ": rescue checked") true
+        (counter ("check." ^ site ^ ".rescue") >= 1))
+    paths
+
 let tests =
   [ Alcotest.test_case "degenerate: modes agree" `Quick
       test_degenerate_modes_agree;
@@ -255,6 +294,8 @@ let tests =
     Alcotest.test_case "repartition degenerate edits" `Quick
       test_repartition_degenerate_edits;
     Alcotest.test_case "repartition rejects bad prev" `Quick
-      test_repartition_rejects_bad_prev ]
+      test_repartition_rejects_bad_prev;
+    Alcotest.test_case "rescue checked on every path" `Quick
+      test_rescue_checked_on_every_path ]
 
 let () = Alcotest.run "repartition" [ ("repartition", tests) ]
